@@ -18,6 +18,8 @@ import pytest
 
 from repro.experiments import format_table
 from repro.experiments.metasched_stream import run_metasched
+from repro.metasched import MetaScheduler
+from repro.oracles.planner import ReferenceMetaScheduler
 
 #: the ISSUE-mandated scale: a 1000-job stream on 64 hosts
 JOBS = 1000
@@ -31,7 +33,7 @@ MIN_THROUGHPUT = 100.0
 ARTIFACT = pathlib.Path("BENCH_metasched_scale.json")
 
 
-def _timed_run(engine):
+def _timed_run(service_cls):
     """One wall-timed stream with the cyclic collector paused: retained
     result graphs otherwise add a constant ~10 s of gen-2 scans to both
     engines, which compresses the measured ratio."""
@@ -39,7 +41,7 @@ def _timed_run(engine):
     gc.disable()
     try:
         t0 = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
-        result = run_metasched(engine=engine, **STREAM)
+        result = run_metasched(service_cls=service_cls, **STREAM)
         wall = perf_counter() - t0  # simlint: ignore[SL001] — benchmark wall time
     finally:
         gc.enable()
@@ -49,18 +51,17 @@ def _timed_run(engine):
 @pytest.fixture(scope="module")
 def stream_results():
     """Fast and reference runs of the same seed-0 stream, wall-timed."""
-    fast, fast_wall = _timed_run("fast")
-    ref, ref_wall = _timed_run("reference")
+    fast, fast_wall = _timed_run(MetaScheduler)
+    ref, ref_wall = _timed_run(ReferenceMetaScheduler)
     return fast, fast_wall, ref, ref_wall
 
 
 def test_bench_fast_engine(benchmark):
     """Timing-infra smoke at a CI-friendly size."""
     result = benchmark.pedantic(
-        lambda: run_metasched(engine="fast", users=6,
-                              arrival_rate=1 / 30.0, duration=1800.0,
-                              seed=1, max_jobs=60, n_hosts=16,
-                              cpu_period=60.0),
+        lambda: run_metasched(users=6, arrival_rate=1 / 30.0,
+                              duration=1800.0, seed=1, max_jobs=60,
+                              n_hosts=16, cpu_period=60.0),
         rounds=1, iterations=1)
     assert result.summary()["completed"] > 0
     assert result.conflicts == []

@@ -18,6 +18,7 @@ from repro.experiments.scheduler_bench import (
     run_scheduler_bench,
     schedules_equal,
 )
+from repro.oracles.scheduler import REFERENCE_HEURISTICS
 
 #: the ISSUE-mandated scale: >=512-task fan-out on 32+ hosts
 FANOUT = 512
@@ -33,20 +34,18 @@ def scale_results():
     this size; the engines share the env so forecasts are identical.
     """
     env = build_scheduler_bench_env(n_tasks=FANOUT, n_hosts=HOSTS)
-    fast = run_scheduler_bench(engine="fast", env=env,
-                               heuristics=("min-min",),
+    fast = run_scheduler_bench(env=env, heuristics=("min-min",),
                                keep_schedules=True)
-    reference = run_scheduler_bench(engine="reference", env=env,
-                                    heuristics=("min-min",),
-                                    keep_schedules=True)
+    reference = run_scheduler_bench(env=env, heuristics=("min-min",),
+                                    keep_schedules=True,
+                                    registry=REFERENCE_HEURISTICS)
     return fast, reference
 
 
 def test_bench_fast_engine(benchmark):
     env = build_scheduler_bench_env(n_tasks=FANOUT, n_hosts=HOSTS)
     result = benchmark.pedantic(
-        lambda: run_scheduler_bench(engine="fast", env=env,
-                                    heuristics=("min-min",)),
+        lambda: run_scheduler_bench(env=env, heuristics=("min-min",)),
         rounds=1, iterations=1)
     assert result["makespans"]["min-min"] > 0
 
@@ -54,10 +53,10 @@ def test_bench_fast_engine(benchmark):
 class TestSchedulerScale:
     def test_print_summary(self, scale_results):
         fast, reference = scale_results
-        rows = [[r["engine"], f"{r['wall_seconds']:.3f}",
+        rows = [[label, f"{r['wall_seconds']:.3f}",
                  f"{r['sched_evaluations']}", f"{r['sched_memo_hits']}",
                  f"{r['makespans']['min-min']:.1f}"]
-                for r in scale_results]
+                for label, r in zip(("fast", "reference"), scale_results)]
         speedup = reference["wall_seconds"] / fast["wall_seconds"]
         print()
         print(format_table(
@@ -104,10 +103,11 @@ def test_all_heuristics_equivalent_midsize():
     """Every registry entry, fast vs oracle, at a CI-friendly size."""
     env = build_scheduler_bench_env(n_tasks=96, n_hosts=16)
     names = ("min-min", "max-min", "sufferage", "random", "fifo", "heft")
-    fast = run_scheduler_bench(engine="fast", env=env, heuristics=names,
+    fast = run_scheduler_bench(env=env, heuristics=names,
                                keep_schedules=True)
-    reference = run_scheduler_bench(engine="reference", env=env,
-                                    heuristics=names, keep_schedules=True)
+    reference = run_scheduler_bench(env=env, heuristics=names,
+                                    keep_schedules=True,
+                                    registry=REFERENCE_HEURISTICS)
     for name in names:
         assert schedules_equal(fast["schedules"][name],
                                reference["schedules"][name]), name

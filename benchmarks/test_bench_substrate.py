@@ -20,6 +20,7 @@ Two claims are checked, matching the overhaul's contract:
 import pytest
 
 from repro.experiments.substrate import run_substrate_bench
+from repro.oracles.allocator import ReferenceTopology
 
 TRANSFERS = 1500
 #: required wall-clock advantage of the incremental allocator
@@ -28,10 +29,9 @@ MIN_SPEEDUP = 2.0
 
 @pytest.fixture(scope="module")
 def results():
-    incremental = run_substrate_bench(total_transfers=TRANSFERS,
-                                      allocator="incremental")
+    incremental = run_substrate_bench(total_transfers=TRANSFERS)
     reference = run_substrate_bench(total_transfers=TRANSFERS,
-                                    allocator="reference")
+                                    topology_cls=ReferenceTopology)
     return incremental, reference
 
 

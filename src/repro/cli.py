@@ -11,7 +11,7 @@
     python -m repro faults run --seed 0 --mtbf 300,900 --json
     python -m repro faults report campaign.json
     python -m repro metasched run --users 6 --arrival-rate 0.01 --json
-    python -m repro metasched run --engine reference --n-hosts 64 --json
+    python -m repro metasched run --n-hosts 64 --json
     python -m repro metasched report stream.json
     python -m repro soak run --minutes 2 --seed 7 --json
     python -m repro soak replay tests/soak/reproducers/foo.json
@@ -50,16 +50,13 @@ from .experiments.fig3_qr import DEFAULT_SIZES, run_fig3
 from .experiments.fig4_swap import run_fig4
 from .experiments.metasched_stream import metasched_tables, run_metasched
 from .experiments.opportunistic import run_opportunistic
-from .experiments.scheduler_bench import (
-    build_scheduler_bench_env,
-    run_scheduler_bench,
-    schedules_equal,
-)
+from .experiments.scheduler_bench import run_scheduler_bench
 from .experiments.soak import run_soak, soak_tables
 from .experiments.substrate import run_substrate_bench
 from .experiments.common import JSON_SCHEMA_VERSION, format_table
 from .faults.campaign import CampaignSpec
 from .microgrid.dml import parse_grid
+from .oracles import ORACLES, compare_case
 from .rescheduling.swapping import SWAP_POLICIES
 from .sim.kernel import Simulator
 from .trace import (
@@ -86,6 +83,13 @@ def _add_seed_option(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=0,
         help="experiment seed (default 0); all driver randomness derives "
              "from it and equal seeds give identical output")
+
+
+def _add_report_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help="emit the deterministic report JSON on stdout")
+    parser.add_argument("--out", metavar="PATH", default=None,
+                        help="also write the report JSON to PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "--scheduler switches to the workflow-scheduler bench")
     bench.add_argument("--transfers", type=int, default=1500,
                        help="total transfers to complete")
-    bench.add_argument("--allocator", default="incremental",
-                       choices=["incremental", "reference"])
     bench.add_argument("--scheduler", action="store_true",
                        help="benchmark the workflow scheduler (EMAN-shaped "
                             "DAG) instead of the substrate")
@@ -146,12 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classesbymra fan-out for --scheduler")
     bench.add_argument("--hosts", type=int, default=32,
                        help="grid size for --scheduler")
-    bench.add_argument("--engine", default="fast",
-                       choices=["fast", "reference"],
-                       help="scheduling engine for --scheduler")
     bench.add_argument("--compare", action="store_true",
-                       help="run both engines/allocators, assert "
-                            "equivalence (scheduler) and report the speedup")
+                       help="run every registered oracle (scheduler, "
+                            "allocator, planner) on its cases against the "
+                            "fast path and print a table; exit 1 on the "
+                            "first divergence")
     bench.add_argument("--json", action="store_true",
                        help="emit the KernelStats counters as JSON on stdout")
 
@@ -209,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-trial simulated-time budget (seconds)")
     frun.add_argument("--no-scenarios", action="store_true",
                       help="skip the scripted kill scenarios")
-    frun.add_argument("--json", action="store_true",
-                      help="emit the deterministic report JSON on stdout")
-    frun.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the report JSON to PATH")
+    _add_report_options(frun)
     _add_trace_option(frun)
 
     freport = faults_sub.add_parser(
@@ -244,19 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "are already queued")
     mrun.add_argument("--max-per-user", type=int, default=None,
                       help="admission control: per-user queued-job quota")
-    mrun.add_argument("--engine", choices=["fast", "reference"],
-                      default="fast",
-                      help="planning engine: the incremental delta "
-                           "re-planner (default) or the cancel-all/"
-                           "rebuild-all oracle; same seed => identical "
-                           "JSON either way")
     mrun.add_argument("--n-hosts", type=int, default=None,
                       help="run on a 4-cluster grid of this many hosts "
                            "instead of the 12-host Figure 3 testbed")
-    mrun.add_argument("--json", action="store_true",
-                      help="emit the deterministic report JSON on stdout")
-    mrun.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the report JSON to PATH")
+    _add_report_options(mrun)
     _add_seed_option(mrun)
     _add_trace_option(mrun)
 
@@ -283,10 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--shrink", metavar="DIR", default=None,
                       help="delta-debug each violating scenario into a "
                            "minimal replayable reproducer under DIR")
-    srun.add_argument("--json", action="store_true",
-                      help="emit the deterministic report JSON on stdout")
-    srun.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the report JSON to PATH")
+    _add_report_options(srun)
     _add_seed_option(srun)
 
     sreplay = soak_sub.add_parser(
@@ -333,6 +319,25 @@ def _export(tracer: Optional[Tracer], args: argparse.Namespace) -> None:
     if tracer is not None:
         write_chrome(tracer, args.trace)
         print(f"trace: {len(tracer)} events -> {args.trace}", file=sys.stderr)
+
+
+def _load_report(path: str) -> dict:
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _emit_report(result, args: argparse.Namespace, tables) -> None:
+    """Write/print a run's report JSON per ``--out``/``--json``, else
+    its tables."""
+    payload = result.to_json()
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(payload + "\n")
+        print(f"report -> {args.out}", file=sys.stderr)
+    if args.json:
+        print(payload)
+    else:
+        print(tables(result.report()))
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
@@ -441,85 +446,57 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_row(stats: dict) -> List[str]:
-    return [str(stats["allocator"]),
-            f"{stats['wall_seconds']:.3f}",
-            f"{stats['events_per_sec']:,.0f}",
-            f"{int(stats['events_processed'])}",
-            f"{int(stats['reallocations'])}",
-            f"{int(stats['wakeups_cancelled'])}",
-            f"{stats['route_cache_hit_rate']:.3f}"]
-
-
-def _scheduler_bench_row(result: dict) -> List[str]:
-    makespans = result["makespans"]
-    return [str(result["engine"]),
-            f"{result['wall_seconds']:.3f}",
-            f"{result['evaluations_per_sec']:,.0f}",
-            f"{result['sched_rounds']}",
-            f"{result['sched_evaluations']}",
-            f"{result['sched_memo_hits']}",
-            " ".join(f"{makespans[h]:.1f}" for h in result["heuristics"])]
-
-
-def _cmd_scheduler_bench(args: argparse.Namespace) -> int:
-    engines = ["fast", "reference"] if args.compare else [args.engine]
-    env = build_scheduler_bench_env(n_tasks=args.tasks, n_hosts=args.hosts)
-    results = [run_scheduler_bench(engine=engine, env=env,
-                                   keep_schedules=args.compare)
-               for engine in engines]
-    if args.compare:
-        fast, ref = results
-        for name in fast["heuristics"]:
-            if not schedules_equal(fast["schedules"][name],
-                                   ref["schedules"][name]):
-                print(f"ENGINES DIVERGE on {name}", file=sys.stderr)
+def _cmd_bench_compare(args: argparse.Namespace) -> int:
+    rows = []
+    for name, oracle in ORACLES.items():
+        for case in oracle.cases:
+            label = " ".join(f"{key}={value}" for key, value in case.items())
+            fast_s, ref_s, divergence = compare_case(oracle, case)
+            if divergence is not None:
+                print(f"ORACLE DIVERGENCE in {name} ({label}): {divergence}",
+                      file=sys.stderr)
                 return 1
-    for result in results:
-        result.pop("schedules", None)  # not JSON/table material
-    if args.json:
-        for result in results:
-            result["schema_version"] = JSON_SCHEMA_VERSION
-        payload = results[0] if len(results) == 1 else results
-        print(json.dumps(payload, sort_keys=True))
-        return 0
+            rows.append([name, label, f"{fast_s:.3f}", f"{ref_s:.3f}",
+                         f"{ref_s / fast_s:.2f}x"])
     print(format_table(
-        ["engine", "wall (s)", "evals/sec", "rounds", "evals", "memo hits",
-         "makespans (s)"],
-        [_scheduler_bench_row(result) for result in results],
-        title=f"scheduler benchmark: {results[0]['n_tasks']} tasks / "
-              f"{results[0]['n_hosts']} hosts, "
-              f"{'+'.join(results[0]['heuristics'])}"))
-    if args.compare:
-        speedup = results[1]["wall_seconds"] / results[0]["wall_seconds"]
-        print(f"\nschedules identical across engines; "
-              f"fast engine speedup: {speedup:.2f}x")
+        ["subsystem", "case", "fast (s)", "reference (s)", "speedup"], rows,
+        title="oracle comparison: every registered case agrees"))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.scheduler:
-        return _cmd_scheduler_bench(args)
-    allocators = (["incremental", "reference"] if args.compare
-                  else [args.allocator])
-    results = [run_substrate_bench(total_transfers=args.transfers,
-                                   allocator=alloc)
-               for alloc in allocators]
-    if args.json:
-        for result in results:
-            result["schema_version"] = JSON_SCHEMA_VERSION
-        payload = results[0] if len(results) == 1 else results
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(format_table(
-        ["allocator", "wall (s)", "events/sec", "events", "reallocs",
-         "stale wakeups", "route hit rate"],
-        [_bench_row(stats) for stats in results],
-        title=f"substrate benchmark: 64 flows / 32 hosts, "
-              f"{args.transfers} transfers"))
     if args.compare:
-        speedup = results[1]["wall_seconds"] / results[0]["wall_seconds"]
-        print(f"\nincremental allocator speedup: {speedup:.2f}x")
+        return _cmd_bench_compare(args)
+    if args.scheduler:
+        result = run_scheduler_bench(n_tasks=args.tasks, n_hosts=args.hosts)
+        headers = ["engine", "wall (s)", "evals/sec", "rounds", "evals",
+                   "memo hits", "makespans (s)"]
+        row = [str(result["engine"]), f"{result['wall_seconds']:.3f}",
+               f"{result['evaluations_per_sec']:,.0f}",
+               f"{result['sched_rounds']}", f"{result['sched_evaluations']}",
+               f"{result['sched_memo_hits']}",
+               " ".join(f"{result['makespans'][h]:.1f}"
+                        for h in result["heuristics"])]
+        title = (f"scheduler benchmark: {result['n_tasks']} tasks / "
+                 f"{result['n_hosts']} hosts, "
+                 f"{'+'.join(result['heuristics'])}")
+    else:
+        result = run_substrate_bench(total_transfers=args.transfers)
+        headers = ["allocator", "wall (s)", "events/sec", "events",
+                   "reallocs", "stale wakeups", "route hit rate"]
+        row = [str(result["allocator"]), f"{result['wall_seconds']:.3f}",
+               f"{result['events_per_sec']:,.0f}",
+               f"{int(result['events_processed'])}",
+               f"{int(result['reallocations'])}",
+               f"{int(result['wakeups_cancelled'])}",
+               f"{result['route_cache_hit_rate']:.3f}"]
+        title = (f"substrate benchmark: 64 flows / 32 hosts, "
+                 f"{args.transfers} transfers")
+    if args.json:
+        result["schema_version"] = JSON_SCHEMA_VERSION
+        print(json.dumps(result, sort_keys=True))
+        return 0
+    print(format_table(headers, [row], title=title))
     return 0
 
 
@@ -578,8 +555,7 @@ def _parse_grid_values(text: str, flag: str) -> tuple:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     if args.faults_command == "report":
-        with open(args.path) as handle:
-            report = json.load(handle)
+        report = _load_report(args.path)
         print(campaign_tables(report))
         failed = [s for s in report["scenarios"] if not s["passed"]]
         return 1 if failed else 0
@@ -596,23 +572,14 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     result = run_faults_campaign(spec, with_scenarios=not args.no_scenarios,
                                  tracer=tracer)
     _export(tracer, args)
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report -> {args.out}", file=sys.stderr)
-    if args.json:
-        print(payload)
-    else:
-        print(campaign_tables(result.report()))
+    _emit_report(result, args, campaign_tables)
     failed = [s for s in result.scenarios if not s["passed"]]
     return 1 if failed else 0
 
 
 def _cmd_metasched(args: argparse.Namespace) -> int:
     if args.metasched_command == "report":
-        with open(args.path) as handle:
-            report = json.load(handle)
+        report = _load_report(args.path)
         print(metasched_tables(report))
         return 1 if report["conflicts"] else 0
     if args.users < 1 or args.arrival_rate <= 0 or args.duration <= 0:
@@ -628,17 +595,9 @@ def _cmd_metasched(args: argparse.Namespace) -> int:
         users=args.users, arrival_rate=args.arrival_rate,
         duration=args.duration, seed=args.seed, max_jobs=args.max_jobs,
         max_queue=args.max_queue, max_per_user=args.max_per_user,
-        engine=args.engine, n_hosts=args.n_hosts, tracer=tracer)
+        n_hosts=args.n_hosts, tracer=tracer)
     _export(tracer, args)
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report -> {args.out}", file=sys.stderr)
-    if args.json:
-        print(payload)
-    else:
-        print(metasched_tables(result.report()))
+    _emit_report(result, args, metasched_tables)
     if result.conflicts:
         for conflict in result.conflicts:
             print(f"RESERVATION CONFLICT: {conflict}", file=sys.stderr)
@@ -648,8 +607,7 @@ def _cmd_metasched(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     if args.soak_command == "report":
-        with open(args.path) as handle:
-            report = json.load(handle)
+        report = _load_report(args.path)
         print(soak_tables(report))
         return 1 if report["summary"]["violations"] else 0
     if args.soak_command == "replay":
@@ -686,15 +644,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         return 2
     result = run_soak(seed=args.seed, scenarios=args.scenarios,
                       minutes=args.minutes, shrink_dir=args.shrink)
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"report -> {args.out}", file=sys.stderr)
-    if args.json:
-        print(payload)
-    else:
-        print(soak_tables(result.report()))
+    _emit_report(result, args, soak_tables)
     return 1 if result.report()["summary"]["violations"] else 0
 
 

@@ -5,11 +5,11 @@ EMAN, N-body) through :class:`repro.metasched.MetaScheduler` on the
 Figure 3 testbed (or a larger multi-cluster grid via ``n_hosts``), then
 packages the outcome — per-job rows, the ``meta_*`` counters, and the
 reservation-conflict audit — as a deterministic report: same seed, same
-bytes.  The planning ``engine`` ("fast" or "reference", DESIGN.md §9.6)
-never changes the report: both engines produce byte-identical same-seed
-JSON, which is why the engine-performance ``meta_plan_*`` counters are
-excluded from :meth:`MetaschedResult.report` (the full snapshot stays
-on :attr:`MetaschedResult.counters`).
+bytes.  The planner's reference oracle (DESIGN.md "Oracles") must
+produce byte-identical same-seed JSON, which is why the planner-work
+``meta_plan_*`` counters are excluded from
+:meth:`MetaschedResult.report` (the full snapshot stays on
+:attr:`MetaschedResult.counters`).
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class MetaschedResult:
         }
 
     def report(self) -> dict:
-        """Engine-independent report: the ``meta_plan_*`` counters (and
-        the engine choice itself) are deliberately absent, so the fast
-        and reference planners emit byte-identical same-seed JSON."""
+        """Planner-independent report: the ``meta_plan_*`` counters are
+        deliberately absent, so the delta re-planner and its reference
+        oracle emit byte-identical same-seed JSON."""
         return {
             "schema_version": JSON_SCHEMA_VERSION,
             "params": {
@@ -160,17 +160,17 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
                   max_jobs: Optional[int] = None,
                   max_queue: Optional[int] = None,
                   max_per_user: Optional[int] = None,
-                  engine: str = "fast",
                   n_hosts: Optional[int] = None,
                   cpu_period: float = 10.0,
-                  tracer=None) -> MetaschedResult:
+                  tracer=None,
+                  service_cls=MetaScheduler) -> MetaschedResult:
     """Serve one synthetic job stream.
 
     ``n_hosts=None`` runs on the Figure 3 testbed (12 hosts); an
     integer builds the :func:`metasched_scale_grid` of that size.
     ``cpu_period`` sets the NWS CPU-sensor cadence (long streams can
-    afford a coarser one).  ``engine`` selects the planner ("fast" or
-    "reference"); the report is byte-identical either way.
+    afford a coarser one).  ``service_cls`` is the service to build;
+    the planner oracle passes its reference subclass.
     """
     sim = Simulator()
     if tracer is not None:
@@ -186,9 +186,8 @@ def run_metasched(users: int = 4, arrival_rate: float = 1 / 120.0,
     gis.register_grid(grid)
     nws = NetworkWeatherService(sim, grid, cpu_period=cpu_period,
                                 deploy_network_sensors=False)
-    service = MetaScheduler(sim, grid, gis, nws,
-                            max_queue=max_queue, max_per_user=max_per_user,
-                            engine=engine)
+    service = service_cls(sim, grid, gis, nws,
+                          max_queue=max_queue, max_per_user=max_per_user)
     specs = generate_stream(users, arrival_rate, duration,
                             RngRegistry(seed), max_jobs=max_jobs)
     done = service.run_stream(specs)

@@ -1,23 +1,17 @@
 """Workflow-scheduler throughput benchmark (the §3.1 hot path).
 
-PR 1's substrate bench isolates the network allocator; this one
-isolates the list-scheduling engine.  The workload is an EMAN-shaped
-refinement round — a linear six-stage DAG whose ``classesbymra`` stage
-fans out to hundreds of independent tasks, the worst case for the
-pre-overhaul O(T²·R) builder — scheduled onto a heterogeneous
-multi-cluster grid.
-
-``run_scheduler_bench(engine="fast")`` vs ``"reference"`` isolates the
-incremental engine's speedup: both engines produce identical schedules
-(property-tested in ``tests/scheduler/test_fast_reference.py`` and
-asserted again here via :func:`schedules_equal`), so wall-clock and
-evaluations/sec are directly comparable.
+The workload is an EMAN-shaped refinement round — a linear six-stage
+DAG whose ``classesbymra`` stage fans out to hundreds of independent
+tasks, the worst case for an O(T²·R) list scheduler — scheduled onto a
+heterogeneous multi-cluster grid.  With
+``registry=REFERENCE_HEURISTICS`` (``repro.oracles.scheduler``) it times
+the oracle on the same input, and :func:`schedules_equal` compares them.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..apps.eman import EmanParameters, eman_refinement_workflow
 from ..gis.directory import GridInformationService
@@ -25,11 +19,7 @@ from ..microgrid.cluster import Cluster
 from ..microgrid.dml import Grid
 from ..microgrid.host import Architecture, CacheLevel
 from ..nws.service import NetworkWeatherService
-from ..scheduler.heuristics import (
-    HEURISTICS,
-    REFERENCE_HEURISTICS,
-    Schedule,
-)
+from ..scheduler.heuristics import HEURISTICS, Schedule
 from ..scheduler.ranking import RankMatrix, build_rank_matrix
 from ..scheduler.workflow import Workflow
 from ..sim.kernel import Simulator
@@ -99,26 +89,22 @@ def schedules_equal(a: Schedule, b: Schedule) -> bool:
 
 
 def run_scheduler_bench(n_tasks: int = 512, n_hosts: int = 32,
-                        engine: str = "fast",
                         heuristics: Sequence[str] = ("min-min", "max-min",
                                                      "sufferage"),
                         keep_schedules: bool = False,
-                        env: Optional[Tuple] = None) -> Dict[str, object]:
-    """Time the requested engine over the paper's three heuristics.
+                        env: Optional[Tuple] = None,
+                        registry: Mapping[str, Callable[..., Schedule]]
+                        = HEURISTICS) -> Dict[str, object]:
+    """Time ``registry``'s heuristics (the paper's three by default).
 
     Returns wall seconds, per-heuristic makespans and the scheduler
     counters (rounds / candidate evaluations / forecast-memo hits) from
     the run.  Pass ``env`` (a :func:`build_scheduler_bench_env` result)
-    to reuse one grid across engines so comparisons see identical
+    to reuse one grid across runs so comparisons see identical
     forecasts.
     """
-    registry = {"fast": HEURISTICS, "reference": REFERENCE_HEURISTICS}
-    try:
-        table = registry[engine]
-    except KeyError:
-        raise ValueError(f"unknown engine {engine!r}") from None
     for name in heuristics:
-        if name not in table:
+        if name not in registry:
             raise ValueError(f"unknown heuristic {name!r}")
     if env is None:
         env = build_scheduler_bench_env(n_tasks=n_tasks, n_hosts=n_hosts)
@@ -132,7 +118,7 @@ def run_scheduler_bench(n_tasks: int = 512, n_hosts: int = 32,
     # inside the scheduling run reads these values.
     wall_start = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
     for name in heuristics:
-        schedule = table[name](workflow, matrix, nws)
+        schedule = registry[name](workflow, matrix, nws)
         makespans[name] = float(schedule.makespan)
         if keep_schedules:
             schedules[name] = schedule
@@ -140,7 +126,7 @@ def run_scheduler_bench(n_tasks: int = 512, n_hosts: int = 32,
 
     snapshot = stats.snapshot()
     result: Dict[str, object] = {
-        "engine": engine,
+        "engine": "fast",  # --json label, also on oracle runs
         "n_tasks": len(matrix.tasks),
         "n_hosts": len(matrix.resources),
         "heuristics": list(heuristics),

@@ -10,10 +10,8 @@ each of the ~thousands of flow events perturbs the max-min allocation —
 the worst case for the pre-overhaul from-scratch allocator and the
 intended case for the incremental one.
 
-``run_substrate_bench(allocator="incremental")`` vs ``"reference"``
-isolates the allocator speedup: both modes produce identical flow
-timelines (property-tested in ``tests/microgrid/test_network.py``), so
-wall-clock and events/sec are directly comparable.
+With ``topology_cls=ReferenceTopology`` (``repro.oracles.allocator``)
+it times the from-scratch allocator on identical flow timelines.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ _CORE_LAT = 5e-3
 
 def build_substrate_grid(sim: Simulator, n_hosts: int = 32,
                          cluster_size: int = 4,
-                         allocator: str = "incremental"
+                         topology_cls=Topology
                          ) -> Tuple[Topology, List[List[str]]]:
     """A star-of-stars grid: clusters of hosts around a core router.
 
@@ -44,7 +42,7 @@ def build_substrate_grid(sim: Simulator, n_hosts: int = 32,
     """
     if n_hosts % cluster_size:
         raise ValueError("n_hosts must be a multiple of cluster_size")
-    topo = Topology(sim, allocator=allocator)
+    topo = topology_cls(sim)
     arch = Architecture(name="bench", mflops=1000.0)
     topo.add_node("core")
     clusters: List[List[str]] = []
@@ -90,8 +88,8 @@ def _flow_spec(slot: int, seq: int, clusters: List[List[str]]
 
 def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
                         total_transfers: int = 1500,
-                        allocator: str = "incremental",
-                        tracer=None) -> Dict[str, float]:
+                        tracer=None,
+                        topology_cls=Topology) -> Dict[str, float]:
     """Run the closed-loop flow churn and report counters + events/sec.
 
     ``concurrent_flows`` transfer slots each keep one flow in flight;
@@ -103,7 +101,7 @@ def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
     if tracer is not None:
         tracer.bind(sim)
     topo, clusters = build_substrate_grid(sim, n_hosts=n_hosts,
-                                          allocator=allocator)
+                                          topology_cls=topology_cls)
     state = {"started": 0, "completed": 0}
 
     def launch(slot: int) -> None:
@@ -129,7 +127,7 @@ def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
     elapsed = perf_counter() - wall_start  # simlint: ignore[SL001] — benchmark wall time
     stats = sim.stats.snapshot()
     stats.update({
-        "allocator": allocator,
+        "allocator": "incremental",  # --json label, also on oracle runs
         "transfers_completed": state["completed"],
         "bytes_delivered": topo.bytes_delivered,
         "sim_seconds": sim.now,

@@ -31,11 +31,8 @@ and shared by :meth:`HostCalendar.busy_during` /
 :meth:`HostCalendar.horizon_times`.  :meth:`ReservationBook.find_window`
 sweeps one merged, tolerance-deduplicated list of per-host event
 points instead of re-scanning every calendar at every candidate start.
-The pre-overhaul linear algorithms are retained verbatim as
-:meth:`HostCalendar.busy_during_reference` and
-:meth:`ReservationBook.find_window_reference` — the oracle the
-equivalence tests (and ``MetaScheduler(engine="reference")``) run
-against.
+The pre-overhaul linear algorithms are the oracle in
+:mod:`repro.oracles.planner`.
 """
 
 from __future__ import annotations
@@ -170,25 +167,18 @@ class HostCalendar:
 
         O(log R) bisect on the start-sorted array when no claim is
         overrunning; with an overrun in play, effective ends are no
-        longer monotone and the linear reference scan runs instead.
+        longer monotone and every live reservation is scanned instead.
         """
         if self.has_overrun(now):
-            return self.busy_during_reference(start, end, now, grace)
+            ends = self._effective_ends(now, grace)
+            for resv, r_end in zip(self._active, ends):
+                if resv.start < end - _EPS and start < r_end - _EPS:
+                    return True
+            return False
         # Non-overlapping intervals sorted by start have (eps-)monotone
         # ends, so the only candidate is the last start before `end`.
         pos = bisect_left(self._starts, end - _EPS)
         return pos > 0 and start < self._active[pos - 1].end - _EPS
-
-    def busy_during_reference(self, start: float, end: float,
-                              now: float, grace: float) -> bool:
-        """The pre-overhaul linear scan — oracle for :meth:`busy_during`."""
-        for resv in self._active:
-            r_end = resv.end
-            if resv.state == CLAIMED and r_end <= now + _EPS:
-                r_end = now + grace
-            if resv.start < end - _EPS and start < r_end - _EPS:
-                return True
-        return False
 
     def first_live(self, now: float) -> int:
         """Index of the first reservation whose end is past ``now`` —
@@ -410,7 +400,8 @@ class ReservationBook:
         One merged sweep: the candidate starts of every host calendar
         are collected once (deduplicated within ``_EPS``), and each
         (start, host) feasibility probe is an O(log R) bisect.  The
-        result is identical to :meth:`find_window_reference` — the
+        result is identical to the linear oracle
+        :func:`repro.oracles.planner.find_window_reference` — the
         equivalence suite asserts it.
         """
         if n_hosts < 1 or n_hosts > len(candidates):
@@ -424,7 +415,7 @@ class ReservationBook:
         # Overrun is a per-host condition (only that host's effective
         # ends are rewritten to now + grace and stop being monotone),
         # so only the few overrunning hosts fall back to the linear
-        # reference scan per probe.
+        # scan in busy_during per probe.
         cals = [self._calendars[host] for host in candidates]
         overrun = [cal.has_overrun(now) for cal in cals]
         starts_arrs = [cal._starts for cal in cals]
@@ -438,8 +429,7 @@ class ReservationBook:
                 for i, host in enumerate(candidates):
                     probes += 1
                     if overrun[i]:
-                        if cals[i].busy_during_reference(start, end,
-                                                         now, grace):
+                        if cals[i].busy_during(start, end, now, grace):
                             continue
                     else:
                         ends = ends_arrs[i]
@@ -457,30 +447,6 @@ class ReservationBook:
         finally:
             if self.stats is not None:
                 self.stats.meta_plan_window_probes += probes
-
-    def find_window_reference(self, n_hosts: int, duration: float,
-                              not_before: float, candidates: Sequence[str],
-                              now: float, grace: float = 30.0
-                              ) -> Optional[Tuple[float, List[str]]]:
-        """The pre-overhaul window search: every candidate start is
-        re-checked against every host calendar with the linear busy
-        scan.  Kept as the byte-equivalent oracle for
-        :meth:`find_window` (same candidate-time dedup fix applied —
-        eps-close floats are one start, not several)."""
-        if n_hosts < 1 or n_hosts > len(candidates):
-            return None
-        times = [not_before]
-        for host in candidates:
-            for t in self.calendar(host).horizon_times(now, grace):
-                if t > not_before + _EPS:
-                    times.append(t)
-        for start in _dedup_times(times):
-            free = [host for host in candidates
-                    if not self.calendar(host).busy_during_reference(
-                        start, start + duration, now, grace)]
-            if len(free) >= n_hosts:
-                return start, free[:n_hosts]
-        return None
 
     def free_now(self, n_hosts: int, duration: float,
                  candidates: Sequence[str], now: float,

@@ -19,31 +19,19 @@ reservation ahead of them.  Claims therefore never overlap by
 construction, and :meth:`MetaScheduler.audit_conflicts` re-proves it
 from the recorded claim history.
 
-Two planning engines produce that plan (DESIGN.md §9.6):
-
-* ``engine="fast"`` (default) — a **delta re-plan**: the fair-share
-  order is computed once per round, and the prefix of jobs whose
-  planning inputs (queue position, candidate host set, estimate) are
-  unchanged since the previous round *keep* their reservations instead
-  of being cancelled and re-booked; the first changed position is the
-  dirty watermark from which the plan is rebuilt.  Any occupancy
-  change outside planning itself (a claim, a release, an overrunning
-  job) invalidates the whole plan — a kept reservation is therefore
-  provably identical to what a full rebuild would produce.  Estimates
-  are memoized per (job, candidate-prefix), candidate sets are
-  resolved once per ISA per round, and jobs behind a full reservation
-  depth get a single "free now?" probe instead of a full window sweep.
-* ``engine="reference"`` — the pre-overhaul planner: cancel every
-  un-started reservation, rebuild the plan from scratch with the
-  linear-scan window search.  Same decisions, byte-identical same-seed
-  reports; the equivalence suite asserts it.
+Planning is a **delta re-plan** (DESIGN.md §9.6): the prefix of jobs
+whose planning inputs (queue position, candidate host set, estimate)
+are unchanged since the previous round *keep* their reservations, and
+the plan is rebuilt from the first changed position.  It must match the
+cancel-all/rebuild-all oracle in :mod:`repro.oracles.planner` byte for
+byte.
 
 Everything the service does lands in the ``metasched`` trace lane
 (submit/queue/admit/reserve/backfill/start/complete/reject instants
 and one span per executed job) and in the always-on ``meta_*``
 counters of :class:`~repro.sim.stats.KernelStats`; the ``meta_plan_*``
 family (rounds, kept vs rebuilt reservations, window probes, estimate
-memo hits, scheduled wakes) exposes what the planning engine did.
+memo hits, scheduled wakes) exposes what the planner did.
 """
 
 from __future__ import annotations
@@ -65,17 +53,14 @@ from .jobs import JobSpec, build_workflow
 from .queueing import FairShareQueue
 from .reservations import Reservation, ReservationBook
 
-__all__ = ["MetaScheduler", "JobState", "ENGINES"]
+__all__ = ["MetaScheduler", "JobState"]
 
 _EPS = 1e-9
 
 #: terminal job states
 _TERMINAL = ("rejected", "completed", "failed")
 
-#: selectable planning engines
-ENGINES = ("fast", "reference")
-
-#: per-position plan-signature kinds (fast engine bookkeeping)
+#: per-position plan-signature kinds (delta re-plan bookkeeping)
 _SIG_SKIP = "skip"    # candidate set smaller than n_hosts
 _SIG_RESV = "resv"    # holds a planned advance reservation
 _SIG_PROBE = "probe"  # behind a full reservation depth; not startable
@@ -97,8 +82,8 @@ class JobState:
     est_seconds: float = 0.0
     #: claims held while running
     claims: List[Reservation] = field(default_factory=list)
-    #: the current advance reservation (planning only; the fast engine
-    #: carries it across rounds, the reference engine rebuilds it)
+    #: the current advance reservation (planning only; kept across
+    #: rounds while its planning inputs are unchanged)
     planned: List[Reservation] = field(default_factory=list)
     #: last traced plan, to keep re-plans from spamming the trace
     last_plan: Optional[Tuple[float, Tuple[str, ...]]] = None
@@ -122,16 +107,13 @@ class MetaScheduler:
                  aging_weight: float = 1e-4,
                  reserve_depth: int = 4,
                  safety_factor: float = 2.0,
-                 grace_seconds: float = 30.0,
-                 engine: str = "fast") -> None:
+                 grace_seconds: float = 30.0) -> None:
         if reserve_depth < 1:
             raise ValueError("reserve_depth must be >= 1")
         if safety_factor < 1.0:
             raise ValueError("safety_factor must be >= 1.0")
         if grace_seconds <= 0:
             raise ValueError("grace_seconds must be positive")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
         self.sim = sim
         self.grid = grid
         self.gis = gis
@@ -151,7 +133,6 @@ class MetaScheduler:
         self.reserve_depth = reserve_depth
         self.safety_factor = safety_factor
         self.grace_seconds = grace_seconds
-        self.engine = engine
         self.jobs: Dict[str, JobState] = {}
         self.job_order: List[str] = []
         self._expected: Optional[int] = None
@@ -159,7 +140,7 @@ class MetaScheduler:
         self._n_terminal = 0
         #: start instants of armed-but-unfired wake callbacks, sorted
         self._pending_wakes: List[float] = []
-        # -- fast-engine planning state (DESIGN.md §9.6) --
+        # -- delta re-plan state (DESIGN.md §9.6) --
         #: last round's per-position decisions: (name, candidates, kind, est)
         self._plan_sig: List[Tuple[str, Tuple[str, ...], str, float]] = []
         #: book.version() snapshot when that plan was recorded
@@ -227,49 +208,11 @@ class MetaScheduler:
         """Bring the un-started plan up to date with live resource state."""
         now = self.sim.now
         self.sim.stats.meta_plan_rounds += 1
-        ordered = self.queue.ordered(now)
-        if self.engine == "reference":
-            self._round_reference(now, ordered)
-        else:
-            self._round_fast(now, ordered)
+        self._plan(now, self.queue.ordered(now))
         self._schedule_wake(now)
 
-    # .. the reference planner (pre-overhaul): cancel-all / rebuild-all ....
-    def _round_reference(self, now: float,
-                         ordered: Sequence[JobSpec]) -> None:
-        for spec in ordered:
-            state = self.jobs[spec.name]
-            if state.planned:
-                self.book.release_block(state.planned, now)
-                state.planned = []
-        blocked = False
-        reservations_made = 0
-        for spec in ordered:
-            state = self.jobs[spec.name]
-            candidates = self.admission.usable_hosts(spec)
-            if len(candidates) < spec.n_hosts:
-                blocked = True
-                continue
-            est = self._estimate_seconds(spec, candidates)
-            window = self.book.find_window_reference(
-                spec.n_hosts, est, now, candidates, now, self.grace_seconds)
-            if window is None:
-                blocked = True
-                continue
-            start, hosts = window
-            if start <= now + _EPS:
-                self._start_job(state, hosts, est, backfilled=blocked)
-            else:
-                blocked = True
-                if reservations_made < self.reserve_depth:
-                    state.planned = self.book.reserve_block(
-                        spec.name, hosts, start, start + est)
-                    reservations_made += 1
-                    self.sim.stats.meta_plan_rebuilt += 1
-                    self._note_plan(state, start, hosts, est)
-
-    # .. the fast planner: delta re-plan from the dirty watermark ..........
-    def _round_fast(self, now: float, ordered: Sequence[JobSpec]) -> None:
+    def _plan(self, now: float, ordered: Sequence[JobSpec]) -> None:
+        """Delta re-plan from the dirty watermark."""
         stats = self.sim.stats
         book = self.book
         round_cands: Dict[Optional[str], Tuple[str, ...]] = {}
@@ -459,7 +402,7 @@ class MetaScheduler:
         spec = state.spec
         now = self.sim.now
         self.queue.remove(spec.name)
-        if state.planned:  # safety net; engines release before starting
+        if state.planned:  # safety net; planners release before starting
             self.book.release_block(state.planned, now)
             state.planned = []
         state.claims = self.book.reserve_block(

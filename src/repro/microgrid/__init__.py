@@ -11,7 +11,7 @@ from .emulation import VirtualClock, dilated_grid
 from .failures import RandomFailureInjector, ScheduledFailure
 from .host import Architecture, CacheLevel, Host, HostFailure
 from .loadgen import RandomLoadGenerator, ScheduledLoad, TraceLoad
-from .network import Flow, Link, NetworkError, Topology, reference_max_min
+from .network import Flow, Link, NetworkError, Topology
 from .testbed import (
     ARCH_ATHLON_1700,
     ARCH_IA64_900,
@@ -54,5 +54,4 @@ __all__ = [
     "heterogeneous_testbed",
     "parse_grid",
     "parse_quantity",
-    "reference_max_min",
 ]

@@ -17,9 +17,8 @@ processing rather than per-event rescans):
   re-runs progressive filling over the *connected component* of edges
   and flows actually perturbed — max-min fairness is separable across
   flow-disjoint components, so untouched components keep their rates.
-  The from-scratch allocator is kept as :func:`reference_max_min` for
-  property testing and as the benchmark baseline
-  (``Topology(..., allocator="reference")``).
+  The from-scratch oracle it is tested against lives in
+  :mod:`repro.oracles.allocator`.
 
 * **Routing cache.**  Routes are computed one *source* at a time with a
   single-source Dijkstra pass (all destinations at once) and cached
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -42,7 +41,7 @@ from ..sim.events import Event
 from ..sim.kernel import Simulator
 from .host import Host
 
-__all__ = ["Link", "Topology", "Flow", "NetworkError", "reference_max_min"]
+__all__ = ["Link", "Topology", "Flow", "NetworkError"]
 
 _EPS = 1e-9
 
@@ -82,66 +81,18 @@ class Flow:
     edge_ids: Tuple[int, ...] = ()  # interned directed-edge ids (see Topology)
 
 
-def reference_max_min(paths: Sequence[Sequence[int]],
-                      capacity: Dict[int, float]) -> List[float]:
-    """From-scratch progressive-filling max-min fair allocation.
-
-    ``paths[i]`` lists the edge ids flow ``i`` crosses; ``capacity``
-    maps edge id to bandwidth.  Returns the per-flow rates.  This is
-    the pre-overhaul O(rounds × flows × path) algorithm, kept pure (no
-    topology state) as the oracle for the Hypothesis property tests and
-    as the ``allocator="reference"`` benchmark baseline.
-    """
-    n = len(paths)
-    alloc = [0.0] * n
-    residual: Dict[int, float] = {}
-    users: Dict[int, List[int]] = {}
-    for i, path in enumerate(paths):
-        for e in path:
-            residual.setdefault(e, capacity[e])
-            users.setdefault(e, []).append(i)
-    unfixed = set(range(n))
-    while unfixed:
-        # Find the bottleneck: the edge with the smallest fair share.
-        best_e, best_share = None, math.inf
-        for e, flows in users.items():
-            active = [i for i in flows if i in unfixed]
-            if not active:
-                continue
-            share = residual[e] / len(active)
-            if share < best_share:
-                best_share, best_e = share, e
-        if best_e is None:
-            break  # remaining flows cross no constrained edge
-        for i in [i for i in users[best_e] if i in unfixed]:
-            alloc[i] = best_share
-            unfixed.discard(i)
-            for e in paths[i]:
-                residual[e] = max(residual[e] - best_share, 0.0)
-    return alloc
-
-
 class Topology:
     """A routed grid network carrying max-min fair flows.
 
     Nodes are strings (host names and router names); hosts must be
     attached via :meth:`attach_host` before they can transfer.  Local
     (same-host) transfers complete at ``local_copy_bw``.
-
-    ``allocator`` selects the reallocation strategy: ``"incremental"``
-    (default; component-scoped progressive filling) or ``"reference"``
-    (full recompute on every flow event, for benchmarking/validation —
-    both produce identical allocations).
     """
 
-    def __init__(self, sim: Simulator, local_copy_bw: float = 1e9,
-                 allocator: str = "incremental") -> None:
-        if allocator not in ("incremental", "reference"):
-            raise ValueError(f"unknown allocator {allocator!r}")
+    def __init__(self, sim: Simulator, local_copy_bw: float = 1e9) -> None:
         self.sim = sim
         self.graph = nx.Graph()
         self.local_copy_bw = float(local_copy_bw)
-        self.allocator = allocator
         self._hosts: Dict[str, Host] = {}
         self._flows: List[Flow] = []
         self._last_update = sim.now
@@ -359,8 +310,8 @@ class Topology:
         With ``seed_edges`` (the edges of the arriving or departing
         flows) only the connected component of flows transitively
         sharing an edge with the perturbation is recomputed; rates
-        outside that component cannot change.  Without it (topology
-        mutation, or ``allocator="reference"``) everything is redone.
+        outside that component cannot change.  Without it (a topology
+        mutation) everything is redone.
         """
         self._epoch += 1
         self.sim.stats.reallocations += 1
@@ -371,19 +322,17 @@ class Topology:
                           scoped=seed_edges is not None)
         if not self._flows:
             return
-        if self.allocator == "reference":
-            alloc = reference_max_min(
-                [f.edge_ids for f in self._flows],
-                dict(enumerate(self._edge_cap)))
-            for flow, rate in zip(self._flows, alloc):
-                flow.allocation = rate
-        elif seed_edges is None:
+        self._allocate(seed_edges)
+        self._schedule_next_completion()
+
+    def _allocate(self, seed_edges: Optional[Iterable[int]]) -> None:
+        """Set ``flow.allocation`` for every flow whose rate can move."""
+        if seed_edges is None:
             self._fill(self._flows)
         else:
             component = self._component_flows(seed_edges)
             if component:
                 self._fill(component)
-        self._schedule_next_completion()
 
     def _component_flows(self, seed_edges: Iterable[int]) -> List[Flow]:
         """Flows transitively sharing an edge with ``seed_edges``."""

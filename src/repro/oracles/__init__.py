@@ -1,0 +1,88 @@
+"""Reference oracles for the fast paths, in one registry (DESIGN.md §4.2).
+
+:data:`ORACLES` maps each subsystem to an :class:`Oracle`: a fast and a
+reference runner (each takes one case, a dict of keyword arguments), a
+comparator (``None`` when the outputs agree, else the first divergence)
+and the cases ``repro bench --compare`` runs.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from time import perf_counter
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+
+from ..experiments.metasched_stream import run_metasched
+from ..experiments.scheduler_bench import run_scheduler_bench, schedules_equal
+from ..experiments.substrate import run_substrate_bench
+from .allocator import ReferenceTopology
+from .planner import ReferenceMetaScheduler
+from .scheduler import REFERENCE_HEURISTICS
+
+__all__ = ["ORACLES", "Oracle", "compare_case"]
+
+
+class Oracle(NamedTuple):
+    fast: Callable[[dict], Any]
+    reference: Callable[[dict], Any]
+    compare: Callable[[Any, Any], Optional[str]]
+    cases: Tuple[dict, ...]
+
+
+def _compare_schedules(fast: dict, reference: dict) -> Optional[str]:
+    for name in fast["heuristics"]:
+        if not schedules_equal(fast["schedules"][name],
+                               reference["schedules"][name]):
+            return f"{name} schedules differ"
+    return None
+
+
+def _compare_flows(fast: dict, reference: dict) -> Optional[str]:
+    for key in ("transfers_completed", "bytes_delivered", "sim_seconds"):
+        if not math.isclose(fast[key], reference[key], rel_tol=1e-9):
+            return f"{key}: {fast[key]!r} != {reference[key]!r}"
+    return None
+
+
+def _compare_reports(fast: dict, reference: dict) -> Optional[str]:
+    for key in sorted(set(fast) | set(reference)):
+        if (json.dumps(fast.get(key), sort_keys=True)
+                != json.dumps(reference.get(key), sort_keys=True)):
+            return f"fast and reference reports differ at {key!r}"
+    return None
+
+
+ORACLES: Dict[str, Oracle] = {
+    "scheduler": Oracle(
+        fast=lambda case: run_scheduler_bench(keep_schedules=True, **case),
+        reference=lambda case: run_scheduler_bench(
+            keep_schedules=True, registry=REFERENCE_HEURISTICS, **case),
+        compare=_compare_schedules,
+        cases=(dict(n_tasks=128, n_hosts=16),)),
+    "allocator": Oracle(
+        fast=lambda case: run_substrate_bench(**case),
+        reference=lambda case: run_substrate_bench(
+            topology_cls=ReferenceTopology, **case),
+        compare=_compare_flows,
+        cases=(dict(total_transfers=800),)),
+    "planner": Oracle(
+        fast=lambda case: run_metasched(**case).report(),
+        reference=lambda case: run_metasched(
+            service_cls=ReferenceMetaScheduler, **case).report(),
+        compare=_compare_reports,
+        cases=(dict(users=4, arrival_rate=0.02, duration=1800.0, seed=0),
+               dict(users=6, arrival_rate=0.05, duration=1200.0, seed=3,
+                    n_hosts=32))),
+}
+
+
+def compare_case(oracle: Oracle, case: dict
+                 ) -> Tuple[float, float, Optional[str]]:
+    """(fast wall s, reference wall s, divergence or ``None``)."""
+    t0 = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
+    fast = oracle.fast(case)
+    t1 = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
+    reference = oracle.reference(case)
+    t2 = perf_counter()  # simlint: ignore[SL001] — benchmark wall time
+    return t1 - t0, t2 - t1, oracle.compare(fast, reference)

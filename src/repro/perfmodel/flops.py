@@ -7,10 +7,10 @@ squares curve fitting.  We reproduce that pipeline: feed in (size,
 flop-count) samples, fit a non-negative combination of monomial basis
 terms, and extrapolate to production sizes.
 
-Non-negative least squares (``scipy.optimize.nnls``) matters here: an
-unconstrained fit happily produces negative low-order coefficients that
-make extrapolated counts negative for sizes outside the training range,
-which would poison every downstream scheduling decision.
+Non-negative least squares (:func:`nnls`, Lawson–Hanson) matters here:
+an unconstrained fit happily produces negative low-order coefficients
+that make extrapolated counts negative for sizes outside the training
+range, which would poison every downstream scheduling decision.
 """
 
 from __future__ import annotations
@@ -19,9 +19,55 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
-__all__ = ["FlopModel", "fit_flop_model", "power_law_fit"]
+__all__ = ["FlopModel", "fit_flop_model", "nnls", "power_law_fit"]
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``argmin ||A x - b||`` subject to ``x >= 0``, as ``(x, residual)``.
+
+    Lawson–Hanson active set ("Solving Least Squares Problems", ch. 23):
+    free the variable with the largest positive gradient, solve least
+    squares on the free set, and step back toward the last feasible
+    point while that solve leaves the orthant.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    # Gradient entries below tol are rounding noise of A.T @ residual.
+    tol = (10 * max(m, n) * np.finfo(float).eps
+           * np.linalg.norm(A, axis=0).max(initial=0.0) * np.linalg.norm(b))
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    skip = np.zeros(n, dtype=bool)
+    solves = 0
+    # Column sums in one fixed order (not BLAS ``A.T @ r``) give equal
+    # columns bit-equal gradients, so ties go to the lowest index.
+    w = (A * b[:, None]).sum(axis=0)
+    while n and (gain := np.where(free | skip, -np.inf, w)).max() > tol:
+        j = int(np.argmax(gain))
+        free[j] = True
+        while True:
+            solves += 1
+            if solves > 3 * n:  # SciPy's default bound
+                raise RuntimeError("nnls: iteration limit reached")
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
+            neg = np.flatnonzero(free & (z < 0))
+            if not len(neg):
+                break
+            ratios = x[neg] / (x[neg] - z[neg])
+            x += ratios.min() * (z - x)
+            free[neg[ratios == ratios.min()]] = False
+            free &= x > 0
+            x[~free] = 0.0
+        # A variable dropped straight back out would be re-picked
+        # forever: skip it until another variable enters.
+        skip[:] = False
+        skip[j] = not free[j]
+        x = z
+        w = (A * (b - A @ x)[:, None]).sum(axis=0)
+    return x, float(np.linalg.norm(A @ x - b))
 
 
 @dataclass(frozen=True)

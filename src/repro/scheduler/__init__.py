@@ -11,7 +11,6 @@ from .analysis import (
 from .executor import ExecutionTrace, TaskTrace, WorkflowExecutor
 from .heuristics import (
     HEURISTICS,
-    REFERENCE_HEURISTICS,
     Placement,
     Schedule,
     ScheduleError,
@@ -20,12 +19,6 @@ from .heuristics import (
     max_min,
     min_min,
     random_schedule,
-    reference_fifo_schedule,
-    reference_heft_schedule,
-    reference_max_min,
-    reference_min_min,
-    reference_random_schedule,
-    reference_sufferage,
     sufferage,
 )
 from .ranking import RankMatrix, build_rank_matrix, dcost, ecost
@@ -37,7 +30,6 @@ __all__ = [
     "GradsWorkflowScheduler",
     "HEURISTICS",
     "Placement",
-    "REFERENCE_HEURISTICS",
     "RankMatrix",
     "Schedule",
     "ScheduleStats",
@@ -61,12 +53,6 @@ __all__ = [
     "max_min",
     "min_min",
     "random_schedule",
-    "reference_fifo_schedule",
-    "reference_heft_schedule",
-    "reference_max_min",
-    "reference_min_min",
-    "reference_random_schedule",
-    "reference_sufferage",
     "sufferage",
     "utilization",
 ]

@@ -20,13 +20,13 @@ this harness exists to flush out.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..appmanager.manager import GradsEnvironment
 from ..apps.nbody import NBodySimulation
 from ..apps.qr import QrBenchmark
+from ..experiments.metasched_stream import _ENGINE_COUNTER_PREFIX, _job_row
 from ..gis.directory import GridInformationService
 from ..metasched import MetaScheduler
 from ..metasched.jobs import JobSpec
@@ -34,6 +34,8 @@ from ..microgrid.failures import ScheduledFailure
 from ..microgrid.loadgen import ScheduledLoad
 from ..nws.service import NetworkWeatherService
 from ..microgrid.testbed import fig3_testbed
+from ..oracles import ORACLES
+from ..oracles.planner import ReferenceMetaScheduler
 from ..rescheduling.swapping import SwapRescheduler
 from ..sim import AnyOf, Interrupt, Semaphore, Simulator, Store
 from ..trace.tracer import Tracer
@@ -50,9 +52,6 @@ _DEADLINE_SLACK = 4000.0
 #: stop collecting after this many escaped exceptions (a broken
 #: callback can re-raise on every subsequent event)
 _MAX_CAUGHT_ERRORS = 50
-
-#: meta counters are engine-independent except the ``meta_plan_*`` group
-_ENGINE_COUNTER_PREFIX = "meta_plan_"
 
 
 class LaneWatch:
@@ -290,10 +289,9 @@ class SoakContext:
 
 @dataclass
 class ScenarioOutcome:
-    """One executed scenario, reduced to engine-independent data."""
+    """One executed scenario, reduced to planner-independent data."""
 
     spec: ScenarioSpec
-    engine: str
     finished_at: float
     quiesced: bool
     lanes: Dict[str, str]
@@ -302,7 +300,7 @@ class ScenarioOutcome:
     counters: Dict[str, float]
 
     def report(self) -> dict:
-        """Deterministic, engine-independent scenario report."""
+        """Deterministic, planner-independent scenario report."""
         return {
             "index": self.spec.index,
             "seed": self.spec.seed,
@@ -333,19 +331,6 @@ def _apply_link(topology, op: dict) -> None:
                           latency=op["latency"])
 
 
-def _job_row(state) -> dict:
-    spec = state.spec
-    return {
-        "name": spec.name, "user": spec.user, "kind": spec.kind,
-        "submit_time": spec.submit_time, "n_hosts": spec.n_hosts,
-        "size": spec.size, "status": state.status,
-        "reject_reason": state.reject_reason, "error": state.error,
-        "started_at": state.started_at, "finished_at": state.finished_at,
-        "queue_wait": state.queue_wait, "hosts": list(state.hosts),
-        "backfilled": state.backfilled,
-    }
-
-
 def _horizon(spec: ScenarioSpec) -> float:
     """Earliest time by which every scheduled disturbance has played
     out — quiescing before this would skip the interesting part."""
@@ -360,9 +345,13 @@ def _horizon(spec: ScenarioSpec) -> float:
     return max(times) + 1.0
 
 
-def run_scenario(spec: ScenarioSpec, engine: str = "fast",
-                 tracer=None) -> ScenarioOutcome:
-    """Run one scenario to quiesce (or deadline) and audit it."""
+def run_scenario(spec: ScenarioSpec, tracer=None,
+                 service_cls=MetaScheduler) -> ScenarioOutcome:
+    """Run one scenario to quiesce (or deadline) and audit it.
+
+    ``service_cls`` is the metascheduler to build; ``engine_check``
+    passes the planner oracle's reference subclass.
+    """
     sim = Simulator()
     if tracer is not None:
         tracer.bind(sim)
@@ -372,7 +361,7 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
     gis.register_grid(grid)
     nws = NetworkWeatherService(sim, grid, cpu_period=10.0,
                                 deploy_network_sensors=False)
-    service = MetaScheduler(sim, grid, gis, nws, engine=engine)
+    service = service_cls(sim, grid, gis, nws)
 
     lanes: Dict[str, LaneWatch] = {}
     specs = [JobSpec(name=job["name"], user=job["user"], kind=job["kind"],
@@ -439,7 +428,7 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
                 if name.startswith("meta_")
                 and not name.startswith(_ENGINE_COUNTER_PREFIX)}
     return ScenarioOutcome(
-        spec=spec, engine=engine, finished_at=sim.now,
+        spec=spec, finished_at=sim.now,
         quiesced=ctx.quiesced,
         lanes={name: lanes[name].status for name in sorted(lanes)},
         violations=violations,
@@ -447,37 +436,29 @@ def run_scenario(spec: ScenarioSpec, engine: str = "fast",
         counters=counters)
 
 
-def _first_divergence(a: dict, b: dict) -> str:
-    for key in sorted(set(a) | set(b)):
-        if (json.dumps(a.get(key), sort_keys=True)
-                != json.dumps(b.get(key), sort_keys=True)):
-            return f"fast and reference reports differ at {key!r}"
-    return "fast and reference reports differ"
-
-
 def run_with_checks(spec: ScenarioSpec) -> dict:
     """Run a scenario with its declared cross-checks; return the
     per-scenario report dict.
 
     ``spec.trace_check`` records and validates a Chrome trace;
-    ``spec.engine_check`` re-runs the identical scenario under the
-    reference planning engine and appends an ``engine-divergence``
-    violation if the two engine-independent reports differ.
+    ``spec.engine_check`` re-runs the scenario under the reference
+    planner and appends an ``engine-divergence`` violation if the
+    planner oracle's comparator finds the reports differ.
     """
     tracer = Tracer() if spec.trace_check else None
-    base = run_scenario(spec, engine="fast", tracer=tracer).report()
+    base = run_scenario(spec, tracer=tracer).report()
     report = dict(base)
     report["engine_agreement"] = None
     if spec.engine_check:
         ref_tracer = Tracer() if spec.trace_check else None
-        ref = run_scenario(spec, engine="reference",
-                           tracer=ref_tracer).report()
-        agree = ref == base
-        report["engine_agreement"] = agree
-        if not agree:
+        ref = run_scenario(spec, tracer=ref_tracer,
+                           service_cls=ReferenceMetaScheduler).report()
+        divergence = ORACLES["planner"].compare(base, ref)
+        report["engine_agreement"] = divergence is None
+        if divergence is not None:
             report["violations"] = list(report["violations"]) + [{
                 "invariant": "engine-divergence",
                 "time": report["finished_at"],
-                "detail": _first_divergence(base, ref),
+                "detail": divergence,
             }]
     return report

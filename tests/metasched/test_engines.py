@@ -1,38 +1,41 @@
 """Fast-planner vs reference-oracle equivalence (DESIGN.md §9.6).
 
 The delta re-planning engine must be *observationally identical* to
-the cancel-all/rebuild-all reference: same job outcomes, same claim
-histories, byte-identical same-seed reports.  Only the ``meta_plan_*``
-performance counters may differ — and those are excluded from reports.
+the cancel-all/rebuild-all reference in ``repro.oracles.planner``: same
+job outcomes, same claim histories, byte-identical same-seed reports.
+Only the ``meta_plan_*`` performance counters may differ — and those
+are excluded from reports.
 """
 
 import random
-
-import pytest
 
 from repro.experiments.metasched_stream import run_metasched
 from repro.gis.directory import GridInformationService
 from repro.metasched import JobSpec, MetaScheduler, generate_stream
 from repro.metasched.jobs import build_workflow
 from repro.metasched.reservations import ReservationBook
-from repro.metasched.service import ENGINES, JobState
+from repro.metasched.service import JobState
 from repro.microgrid.testbed import fig3_testbed
 from repro.nws.service import NetworkWeatherService
+from repro.oracles.planner import (
+    ReferenceMetaScheduler,
+    find_window_reference,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
 
-def build_service(engine="fast", **kwargs):
+def build_service(service_cls=MetaScheduler, **kwargs):
     sim = Simulator()
     grid = fig3_testbed(sim)
     gis = GridInformationService()
     gis.register_grid(grid)
     nws = NetworkWeatherService(sim, grid, deploy_network_sensors=False)
-    return sim, MetaScheduler(sim, grid, gis, nws, engine=engine, **kwargs)
+    return sim, service_cls(sim, grid, gis, nws, **kwargs)
 
 
-def serve(engine, specs, **kwargs):
-    sim, service = build_service(engine=engine, **kwargs)
+def serve(service_cls, specs, **kwargs):
+    sim, service = build_service(service_cls, **kwargs)
     done = service.run_stream(specs)
     sim.run(stop_event=done)
     return sim, service
@@ -49,32 +52,23 @@ CONTENDED = dict(users=6, arrival_rate=1 / 40.0, duration=2400.0, seed=2,
                  max_jobs=40)
 
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            build_service(engine="bogus")
-
-    def test_engines_constant(self):
-        assert ENGINES == ("fast", "reference")
-
-
 class TestByteIdenticalReports:
     def test_fig3_stream(self):
-        fast = run_metasched(engine="fast", **CONTENDED)
-        ref = run_metasched(engine="reference", **CONTENDED)
+        fast = run_metasched(**CONTENDED)
+        ref = run_metasched(service_cls=ReferenceMetaScheduler, **CONTENDED)
         assert fast.to_json() == ref.to_json()
         assert fast.conflicts == []
 
     def test_scale_grid_stream(self):
         kwargs = dict(users=6, arrival_rate=1 / 20.0, duration=1200.0,
                       seed=3, max_jobs=30, n_hosts=16)
-        fast = run_metasched(engine="fast", **kwargs)
-        ref = run_metasched(engine="reference", **kwargs)
+        fast = run_metasched(**kwargs)
+        ref = run_metasched(service_cls=ReferenceMetaScheduler, **kwargs)
         assert fast.to_json() == ref.to_json()
         assert fast.summary()["completed"] > 0
 
     def test_report_excludes_engine_counters(self):
-        result = run_metasched(engine="fast", users=2,
+        result = run_metasched(users=2,
                                arrival_rate=1 / 200.0, duration=600.0,
                                seed=0, max_jobs=4)
         # full snapshot keeps them; the deterministic report drops them
@@ -88,8 +82,8 @@ class TestOutcomeEquivalence:
     def test_job_outcomes_and_claim_histories_identical(self):
         specs = generate_stream(5, 1 / 50.0, 2000.0, RngRegistry(4),
                                 max_jobs=30)
-        _sim_f, fast = serve("fast", specs)
-        _sim_r, ref = serve("reference", specs)
+        _sim_f, fast = serve(MetaScheduler, specs)
+        _sim_r, ref = serve(ReferenceMetaScheduler, specs)
         for a, b in zip(fast.states(), ref.states()):
             assert a.spec.name == b.spec.name
             assert a.status == b.status
@@ -106,8 +100,8 @@ class TestOutcomeEquivalence:
     def test_event_counts_and_wakes_match(self):
         specs = generate_stream(4, 1 / 60.0, 1800.0, RngRegistry(8),
                                 max_jobs=20)
-        sim_f, _fast = serve("fast", specs)
-        sim_r, _ref = serve("reference", specs)
+        sim_f, _fast = serve(MetaScheduler, specs)
+        sim_r, _ref = serve(ReferenceMetaScheduler, specs)
         # shared wake logic: same arms, same kernel agenda, same clock
         assert (sim_f.stats.meta_plan_wakes
                 == sim_r.stats.meta_plan_wakes)
@@ -118,7 +112,7 @@ class TestOutcomeEquivalence:
 
 class TestFastEngineMechanics:
     def test_delta_replan_keeps_and_memoizes(self):
-        fast = run_metasched(engine="fast", **CONTENDED)
+        fast = run_metasched(**CONTENDED)
         counters = fast.counters
         assert counters["meta_plan_rounds"] > 0
         assert counters["meta_plan_kept"] > 0
@@ -127,7 +121,7 @@ class TestFastEngineMechanics:
         assert counters["meta_plan_estimate_memo_hits"] > 0
 
     def test_reference_engine_never_keeps(self):
-        ref = run_metasched(engine="reference", **CONTENDED)
+        ref = run_metasched(service_cls=ReferenceMetaScheduler, **CONTENDED)
         assert ref.counters["meta_plan_kept"] == 0
         assert ref.counters["meta_plan_estimate_memo_hits"] == 0
         assert ref.counters["meta_plan_rebuilt"] > 0
@@ -239,8 +233,8 @@ class TestWindowSearchEquivalence:
                 order = hosts[:]
                 rng.shuffle(order)
                 got = book.find_window(n, duration, now, order, now, 30.0)
-                want = book.find_window_reference(n, duration, now, order,
-                                                  now, 30.0)
+                want = find_window_reference(book, n, duration, now, order,
+                                             now, 30.0)
                 assert got == want, (seed, trial, n, duration, now, order)
 
     def test_free_now_is_the_immediate_probe(self):
@@ -254,8 +248,8 @@ class TestWindowSearchEquivalence:
                 order = hosts[:]
                 rng.shuffle(order)
                 free = book.free_now(n, duration, order, now, 30.0)
-                window = book.find_window_reference(n, duration, now,
-                                                    order, now, 30.0)
+                window = find_window_reference(book, n, duration, now,
+                                               order, now, 30.0)
                 if free is not None:
                     assert window == (now, free)
                 elif window is not None:

@@ -11,6 +11,7 @@ from repro.metasched.reservations import (
     ReservationConflict,
     _dedup_times,
 )
+from repro.oracles.planner import find_window_reference
 
 
 class TestReservation:
@@ -166,7 +167,7 @@ class TestCandidateTimeDedup:
         book.reserve_block("a", ["h1"], 0.0, 100.0)
         book.reserve_block("b", ["h2"], 0.0, 100.0 + 5e-10)
         got = book.find_window(2, 50.0, 0.0, ["h1", "h2"], 0.0)
-        want = book.find_window_reference(2, 50.0, 0.0, ["h1", "h2"], 0.0)
+        want = find_window_reference(book, 2, 50.0, 0.0, ["h1", "h2"], 0.0)
         assert got == want
         start, hosts = got
         assert hosts == ["h1", "h2"]

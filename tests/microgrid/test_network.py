@@ -5,13 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.microgrid import (
-    Architecture,
-    Host,
-    NetworkError,
-    Topology,
-    reference_max_min,
-)
+from repro.microgrid import Architecture, Host, NetworkError, Topology
+from repro.oracles.allocator import ReferenceTopology, reference_max_min
 
 
 def two_hosts(sim, bw=1e6, lat=0.01):
@@ -340,10 +335,10 @@ _random_scenarios = st.fixed_dictionaries({
 })
 
 
-def _build_scenario(sim, scenario, allocator):
+def _build_scenario(sim, scenario, topology_cls):
     """One random connected topology + timed flow set, per allocator."""
     n = scenario["n_nodes"]
-    topo = Topology(sim, allocator=allocator)
+    topo = topology_cls(sim)
     arch = Architecture(name="t", mflops=1.0)
     for i in range(n):
         topo.attach_host(Host(sim, f"n{i}", arch))
@@ -378,9 +373,10 @@ def test_property_incremental_allocator_matches_reference(scenario):
     same in-flight rates at probe times, same completion times, same
     bytes delivered."""
     runs = {}
-    for allocator in ("incremental", "reference"):
+    for allocator, topology_cls in (("incremental", Topology),
+                                    ("reference", ReferenceTopology)):
         sim = Simulator()
-        topo, events = _build_scenario(sim, scenario, allocator)
+        topo, events = _build_scenario(sim, scenario, topology_cls)
         probes = []
         for t in (0.25, 0.75, 1.5, 3.0):
             sim.call_at(t, lambda topo=topo, probes=probes:
@@ -409,7 +405,7 @@ def test_property_live_allocations_match_pure_reference(scenario):
     reference allocator computes for the same flow set and capacities —
     the direct oracle check for the interned-edge bookkeeping."""
     sim = Simulator()
-    topo, _events = _build_scenario(sim, scenario, "incremental")
+    topo, _events = _build_scenario(sim, scenario, Topology)
 
     def check():
         if not topo._flows:

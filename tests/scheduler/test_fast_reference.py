@@ -3,8 +3,8 @@
 The incremental array-backed builder behind ``HEURISTICS`` must be a
 pure optimization: for every workflow shape, grid, and heuristic it has
 to produce the same placements with the same estimated times — bit-for-
-bit, not approximately — as the retained pure-Python oracle in
-``REFERENCE_HEURISTICS``.  Hypothesis drives randomized layered and
+bit, not approximately — as the pure-Python oracle in
+``repro.oracles.scheduler.REFERENCE_HEURISTICS``.  Hypothesis drives randomized layered and
 bag-of-tasks workflows over heterogeneous multi-cluster grids.
 """
 
@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from repro.gis import GridInformationService
 from repro.microgrid import Architecture, Cluster, Grid
 from repro.nws import NetworkWeatherService
+from repro.oracles.scheduler import REFERENCE_HEURISTICS
 from repro.perfmodel import AnalyticComponentModel
 from repro.scheduler import (
     HEURISTICS,
-    REFERENCE_HEURISTICS,
     Workflow,
     WorkflowComponent,
     build_rank_matrix,

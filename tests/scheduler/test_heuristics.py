@@ -300,7 +300,7 @@ class TestSchedulerCounters:
         assert sim.stats.snapshot()["sched_memo_hits"] > 0
 
     def test_reference_engine_counts_more_evaluations(self):
-        from repro.scheduler import reference_min_min
+        from repro.oracles.scheduler import reference_min_min
         sim, grid, gis, nws = env()
         wf = fan_workflow(width=8)
         matrix = build_rank_matrix(wf, gis, nws)

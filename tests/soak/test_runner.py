@@ -2,6 +2,7 @@
 
 import json
 
+from repro.oracles.planner import ReferenceMetaScheduler
 from repro.soak import run_scenario, run_with_checks, sample_scenario
 from repro.soak.scenario import ScenarioSpec
 
@@ -50,8 +51,9 @@ class TestRunScenario:
 
     def test_fast_and_reference_engines_agree(self):
         spec = _clean_smoke_spec()
-        fast = run_scenario(spec, engine="fast").report()
-        ref = run_scenario(spec, engine="reference").report()
+        fast = run_scenario(spec).report()
+        ref = run_scenario(spec,
+                           service_cls=ReferenceMetaScheduler).report()
         assert fast == ref
 
 

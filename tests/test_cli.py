@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import build_parser, main
+from repro.oracles import ORACLES
 
 
 class TestParser:
@@ -122,6 +124,55 @@ class TestCommands:
         assert main(["fig4", "--iterations", "5"]) == 1
         err = capsys.readouterr().err
         assert "synthetic failure" in err
+
+
+def _perturb_schedule(result):
+    schedule = result["schedules"][result["heuristics"][0]]
+    name = min(schedule.placements)
+    placement = schedule.placements[name]
+    schedule.placements[name] = dataclasses.replace(
+        placement, est_finish=placement.est_finish + 1.0)
+    return result
+
+
+#: one output nudged per registry entry, each past its comparator's bar
+PERTURB = {
+    "scheduler": _perturb_schedule,
+    "allocator": lambda stats: {
+        **stats, "bytes_delivered": stats["bytes_delivered"] * (1 + 1e-6)},
+    "planner": lambda report: {**report, "conflicts": ["perturbed"]},
+}
+
+#: CI-sized cases shrunk to test size
+SMALL_CASES = {
+    "scheduler": (dict(n_tasks=16, n_hosts=4),),
+    "allocator": (dict(total_transfers=40),),
+    "planner": (dict(users=2, arrival_rate=0.01, duration=600.0, seed=0,
+                     max_jobs=3),),
+}
+
+
+class TestBenchCompare:
+    @pytest.fixture
+    def small_oracles(self, monkeypatch):
+        for name, oracle in list(ORACLES.items()):
+            monkeypatch.setitem(ORACLES, name,
+                                oracle._replace(cases=SMALL_CASES[name]))
+
+    def test_every_oracle_agrees(self, small_oracles, capsys):
+        assert main(["bench", "--compare"]) == 0
+        out = capsys.readouterr().out
+        for name in ORACLES:
+            assert name in out
+
+    @pytest.mark.parametrize("name", sorted(PERTURB))
+    def test_divergent_reference_exits_one(self, small_oracles, monkeypatch,
+                                           capsys, name):
+        oracle = ORACLES[name]
+        monkeypatch.setitem(ORACLES, name, oracle._replace(
+            reference=lambda case: PERTURB[name](oracle.reference(case))))
+        assert main(["bench", "--compare"]) == 1
+        assert f"ORACLE DIVERGENCE in {name}" in capsys.readouterr().err
 
 
 class TestMetaschedCommands:

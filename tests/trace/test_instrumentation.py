@@ -11,7 +11,8 @@ import pytest
 from repro.experiments.fig3_qr import run_fig3_point
 from repro.experiments.fig4_swap import run_fig4
 from repro.experiments.scheduler_bench import build_scheduler_bench_env
-from repro.scheduler import HEURISTICS, REFERENCE_HEURISTICS
+from repro.oracles.scheduler import REFERENCE_HEURISTICS
+from repro.scheduler import HEURISTICS
 from repro.trace import Tracer, violation_timeline
 from repro.trace.export import write_jsonl
 
