@@ -15,19 +15,13 @@ import pytest
 
 from repro.nws import AdaptiveForecaster, default_battery
 from repro.experiments import format_table
+from repro.experiments.forecast_replay import forecast_traces
 
 
 def make_traces(length=600, seed=7) -> Dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    flat = np.clip(0.8 + rng.normal(0, 0.05, length), 0, 1)
-    onoff = np.where((np.arange(length) // 60) % 2 == 0, 0.95, 0.45) \
-        + rng.normal(0, 0.02, length)
-    trend = np.clip(np.linspace(1.0, 0.2, length)
-                    + rng.normal(0, 0.03, length), 0, 1)
-    spiky = np.clip(0.9 - 0.7 * (rng.random(length) < 0.05)
-                    + rng.normal(0, 0.02, length), 0, 1)
-    return {"flat": flat, "onoff": np.clip(onoff, 0, 1),
-            "trend": trend, "spiky": spiky}
+    """The four load regimes of the forecaster replay."""
+    traces = forecast_traces(length, seed)
+    return {name: traces[name] for name in ("flat", "onoff", "trend", "spiky")}
 
 
 def score(trace: np.ndarray) -> Dict[str, float]:

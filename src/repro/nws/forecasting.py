@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "AutoRegressive",
     "Forecaster",
+    "HISTORY_RETENTION",
     "LastValue",
     "RunningMean",
     "SlidingWindowMean",
@@ -27,6 +28,10 @@ __all__ = [
     "AdaptiveForecaster",
     "default_battery",
 ]
+
+#: samples an :class:`AdaptiveForecaster` (and each NWS sensor) keeps
+#: for inspection; forecasts never read them, so long runs stay flat
+HISTORY_RETENTION = 1024
 
 
 class Forecaster:
@@ -118,10 +123,21 @@ class SlidingWindowMedian(Forecaster):
         # The median only changes when the buffer does; callers (the
         # adaptive selector, admission control) ask far more often.
         if self._dirty:
-            self._cached = (float(np.median(list(self._buf)))
-                            if self._buf else None)
+            self._cached = self._median()
             self._dirty = False
         return self._cached
+
+    def _median(self) -> Optional[float]:
+        # Bit-identical to np.median: the middle element, or the two
+        # middle ones summed then halved, without NumPy's call overhead.
+        n = len(self._buf)
+        if n == 0:
+            return None
+        ordered = sorted(self._buf)
+        mid = n // 2
+        if n % 2:
+            return float(ordered[mid])
+        return float((ordered[mid - 1] + ordered[mid]) / 2)
 
 
 class ExponentialSmoothing(Forecaster):
@@ -179,24 +195,34 @@ class AutoRegressive(Forecaster):
         return self._cached
 
     def _fit_predict(self) -> Optional[float]:
-        n = len(self._buf)
+        buf = self._buf
+        n = len(buf)
         if n == 0:
             return None
-        if n < 2 * self.order + 2:
-            return self._buf[-1]
-        series = np.asarray(self._buf, dtype=float)
         p = self.order
-        # rows: series[t-p:t] -> series[t]
-        rows = np.stack([series[i:i + p] for i in range(n - p)])
-        targets = series[p:]
-        design = np.hstack([rows, np.ones((len(rows), 1))])
-        coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        recent = np.append(series[-p:], 1.0)
+        if n < 2 * p + 2:
+            return buf[-1]
+        lo, hi = min(buf), max(buf)
+        if lo == hi:
+            # The clamp below forces any fit on a constant window to
+            # that constant, so the fit is skipped, not approximated.
+            return float(lo)
+        series = np.asarray(buf, dtype=float)
+        m = n - p
+        # rows: series[t-p:t] -> series[t], plus an intercept column
+        design = np.ones((m, p + 1))
+        for lag in range(p):
+            design[:, lag] = series[lag:lag + m]
+        # Min-norm lstsq, not solve: non-constant windows can still be
+        # rank-deficient (an alternating a, b, a, b... at order 2).
+        coef = np.linalg.lstsq(design, series[p:], rcond=None)[0]
+        recent = np.ones(p + 1)
+        recent[:p] = series[-p:]
         raw = float(recent @ coef)
         # Clamp into the observed window: AR lines extrapolate, but a
         # resource measurement cannot leave the range its neighbours
         # span (and real NWS clamps CPU availability the same way).
-        return float(min(max(raw, series.min()), series.max()))
+        return float(min(max(raw, lo), hi))
 
 
 def default_battery() -> List[Forecaster]:
@@ -228,9 +254,15 @@ class AdaptiveForecaster(Forecaster):
             list(battery) if battery is not None else default_battery())
         if not self.battery:
             raise ValueError("battery must not be empty")
-        self._abs_err: Dict[str, float] = {f.name: 0.0 for f in self.battery}
+        # Errors are keyed by name: two members sharing one would
+        # silently share one error sum and corrupt the selection.
+        names = [f.name for f in self.battery]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate battery member names: {names}")
+        self._abs_err: Dict[str, float] = dict.fromkeys(names, 0.0)
         self._n_scored = 0
-        self._history: List[float] = []
+        self._n_samples = 0
+        self._history: Deque[float] = deque(maxlen=HISTORY_RETENTION)
         #: (best method, its prediction); None until asked, dropped on
         #: every update — the selection is a pure function of the series
         self._choice: Optional[Tuple[Optional[Forecaster],
@@ -250,6 +282,7 @@ class AdaptiveForecaster(Forecaster):
         for method in self.battery:
             method.update(value)
         self._history.append(value)
+        self._n_samples += 1
         self._choice = None
 
     def _select(self) -> Tuple[Optional[Forecaster], Optional[float]]:
@@ -278,7 +311,9 @@ class AdaptiveForecaster(Forecaster):
 
     @property
     def n_samples(self) -> int:
-        return len(self._history)
+        """Measurements absorbed so far (not bounded by the retention)."""
+        return self._n_samples
 
     def history(self) -> List[float]:
+        """The last :data:`HISTORY_RETENTION` measurements, oldest first."""
         return list(self._history)

@@ -11,14 +11,16 @@ real tool.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, Optional
 
 import numpy as np
 
 from ..microgrid.host import Host
 from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
+from .forecasting import HISTORY_RETENTION
 
 __all__ = ["Measurement", "CpuSensor", "NetworkSensor"]
 
@@ -48,7 +50,8 @@ class CpuSensor:
         self.period = period
         self.noise_std = noise_std
         self.rng = rng
-        self.readings: List[Measurement] = []
+        #: the last HISTORY_RETENTION readings, oldest first
+        self.readings: Deque[Measurement] = deque(maxlen=HISTORY_RETENTION)
         self._listeners: list = []
         sim.process(self._run(), name=f"cpusensor:{host.name}")
 
@@ -97,8 +100,11 @@ class NetworkSensor:
         self.dst = dst
         self.period = period
         self.probe_bytes = probe_bytes
-        self.bandwidth_readings: List[Measurement] = []
-        self.latency_readings: List[Measurement] = []
+        #: the last HISTORY_RETENTION readings of each kind, oldest first
+        self.bandwidth_readings: Deque[Measurement] = deque(
+            maxlen=HISTORY_RETENTION)
+        self.latency_readings: Deque[Measurement] = deque(
+            maxlen=HISTORY_RETENTION)
         self._listeners: list = []
         sim.process(self._run(), name=f"netsensor:{src}->{dst}")
 

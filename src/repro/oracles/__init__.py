@@ -13,10 +13,12 @@ import math
 from time import perf_counter
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
+from ..experiments.forecast_replay import TRACES, replay_forecasts
 from ..experiments.metasched_stream import run_metasched
 from ..experiments.scheduler_bench import run_scheduler_bench, schedules_equal
 from ..experiments.substrate import run_substrate_bench
 from .allocator import ReferenceTopology
+from .forecaster import reference_battery
 from .planner import ReferenceMetaScheduler
 from .scheduler import REFERENCE_HEURISTICS
 
@@ -42,6 +44,18 @@ def _compare_flows(fast: dict, reference: dict) -> Optional[str]:
     for key in ("transfers_completed", "bytes_delivered", "sim_seconds"):
         if not math.isclose(fast[key], reference[key], rel_tol=1e-9):
             return f"{key}: {fast[key]!r} != {reference[key]!r}"
+    return None
+
+
+def _compare_forecasts(fast: dict, reference: dict) -> Optional[str]:
+    for step, (got, want) in enumerate(zip(fast["member_forecasts"],
+                                           reference["member_forecasts"])):
+        for name, a, b in zip(fast["members"], got, want):
+            if a != b:
+                return f"{name} at sample {step}: {a!r} != {b!r}"
+    for key in ("members", "forecasts", "errors", "best"):
+        if fast[key] != reference[key]:
+            return f"{key} differ"
     return None
 
 
@@ -74,6 +88,12 @@ ORACLES: Dict[str, Oracle] = {
         cases=(dict(users=4, arrival_rate=0.02, duration=1800.0, seed=0),
                dict(users=6, arrival_rate=0.05, duration=1200.0, seed=3,
                     n_hosts=32))),
+    "forecaster": Oracle(
+        fast=lambda case: replay_forecasts(**case),
+        reference=lambda case: replay_forecasts(
+            battery=reference_battery, **case),
+        compare=_compare_forecasts,
+        cases=tuple(dict(trace=trace) for trace in TRACES)),
 }
 
 

@@ -141,6 +141,7 @@ PERTURB = {
     "allocator": lambda stats: {
         **stats, "bytes_delivered": stats["bytes_delivered"] * (1 + 1e-6)},
     "planner": lambda report: {**report, "conflicts": ["perturbed"]},
+    "forecaster": lambda replay: {**replay, "best": "perturbed"},
 }
 
 #: CI-sized cases shrunk to test size
@@ -149,6 +150,7 @@ SMALL_CASES = {
     "allocator": (dict(total_transfers=40),),
     "planner": (dict(users=2, arrival_rate=0.01, duration=600.0, seed=0,
                      max_jobs=3),),
+    "forecaster": (dict(trace="onoff", length=60),),
 }
 
 
