@@ -59,12 +59,6 @@ class Cluster:
     def host_names(self) -> List[str]:
         return [h.name for h in self.hosts]
 
-    def connect_to(self, other: "Cluster", bandwidth: float,
-                   latency: float) -> None:
-        """Add a WAN link between this cluster's switch and another's."""
-        self.topology.add_link(self.switch, other.switch,
-                               bandwidth=bandwidth, latency=latency)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Cluster {self.name} {len(self.hosts)}x{self.arch.name}"
                 f" @{self.arch.mflops:.0f}Mflop/s>")

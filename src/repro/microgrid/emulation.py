@@ -76,12 +76,11 @@ def dilated_grid(builder: Callable[[Simulator], Grid], sim: Simulator,
         host.disk_write_bw /= dilation
     for cluster in grid.clusters.values():
         cluster.arch = _scaled_arch(cluster.arch, dilation)
-    # Scale every link: bandwidth down, latency up.
-    for u, v, data in grid.topology.graph.edges(data=True):
-        data["bandwidth"] /= dilation
-        data["latency"] *= dilation
-    grid.topology.local_copy_bw /= dilation
-    # Rates/latencies changed under the topology's feet: drop routing
-    # caches and resync interned capacities (and any in-flight flows).
-    grid.topology._topology_changed()
+    # Scale every link: bandwidth down, latency up.  Re-adding a link
+    # keeps its route-tie position and refreshes the routing caches.
+    topology = grid.topology
+    for link in topology.links:
+        topology.add_link(link.a, link.b, link.bandwidth / dilation,
+                          link.latency * dilation)
+    topology.local_copy_bw /= dilation
     return grid

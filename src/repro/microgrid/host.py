@@ -148,13 +148,6 @@ class Host:
             return 0.0
         return min(1.0, self.cores / (len(self._tasks) + 1))
 
-    def current_share(self) -> float:
-        """Fraction of one core each current task receives."""
-        n = len(self._tasks)
-        if n == 0:
-            return 1.0
-        return min(1.0, self.cores / n)
-
     # -- public API -----------------------------------------------------------
     def compute(self, mflop: float, tag: str = "") -> Event:
         """Run ``mflop`` of work; the returned event triggers when done.

@@ -31,11 +31,10 @@ Capacities are in bytes/s, latencies in seconds, transfers in bytes.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from ..sim.events import Event
 from ..sim.kernel import Simulator
@@ -60,10 +59,12 @@ class Link:
     latency: float  # seconds
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("link latency must be non-negative")
+        # Non-finite values are rejected too: an all-``inf`` path gives
+        # no finite max-min share, so its flows would never finish.
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError("link bandwidth must be positive and finite")
+        if not (math.isfinite(self.latency) and self.latency >= 0):
+            raise ValueError("link latency must be non-negative and finite")
 
 
 @dataclass
@@ -91,7 +92,10 @@ class Topology:
 
     def __init__(self, sim: Simulator, local_copy_bw: float = 1e9) -> None:
         self.sim = sim
-        self.graph = nx.Graph()
+        # node -> neighbour -> link, both in link insertion order (the
+        # order Dijkstra scans neighbours in, so it pins route ties)
+        self._adj: Dict[str, Dict[str, Link]] = {}
+        self._links: Dict[Tuple[str, str], Link] = {}  # sorted pair -> link
         self.local_copy_bw = float(local_copy_bw)
         self._hosts: Dict[str, Host] = {}
         self._flows: List[Flow] = []
@@ -110,7 +114,7 @@ class Topology:
     # -- construction -----------------------------------------------------------
     def add_node(self, name: str) -> None:
         """Add a routing-only node (e.g. a WAN router)."""
-        self.graph.add_node(name)
+        self._adj.setdefault(name, {})
         self._topology_changed()
 
     def attach_host(self, host: Host) -> None:
@@ -118,7 +122,7 @@ class Topology:
         if host.name in self._hosts:
             raise NetworkError(f"duplicate host {host.name!r}")
         self._hosts[host.name] = host
-        self.graph.add_node(host.name)
+        self._adj.setdefault(host.name, {})
         self._topology_changed()
 
     def add_link(self, a: str, b: str, bandwidth: float, latency: float) -> Link:
@@ -127,25 +131,34 @@ class Topology:
         Adding (or re-adding, to change bandwidth/latency) a link while
         flows are in flight settles their progress and reallocates, so
         the new capacity takes effect immediately rather than at the
-        next unrelated flow event.
+        next unrelated flow event.  Re-adding keeps the link's place in
+        the neighbour order, so it cannot reorder route ties.
         """
-        link = Link(a, b, bandwidth, latency)
-        self.graph.add_edge(a, b, bandwidth=float(bandwidth),
-                            latency=float(latency))
+        link = Link(a, b, float(bandwidth), float(latency))  # validates
+        self._adj.setdefault(a, {})[b] = link
+        self._adj.setdefault(b, {})[a] = link
+        self._links[(a, b) if a <= b else (b, a)] = link
+        # Edge ids name directed node pairs and outlive this rewrite;
+        # only their capacities move.
+        for pair in ((a, b), (b, a)):
+            eid = self._edge_ids.get(pair)
+            if eid is not None:
+                self._edge_cap[eid] = link.bandwidth
         self._topology_changed()
         return link
+
+    def __contains__(self, node: str) -> bool:
+        return node in self._adj
+
+    @property
+    def links(self) -> List[Link]:
+        """Every link once, in insertion order, as last (re)added."""
+        return list(self._links.values())
 
     def _topology_changed(self) -> None:
         """Invalidate routing caches and re-fit in-flight flows."""
         self._sssp.clear()
         self._metrics.clear()
-        # An add_link over an existing edge rewrites its capacity; keep
-        # the interned capacities in sync (edge ids themselves are
-        # stable: they name directed node pairs, not graph epochs).
-        graph_edges = self.graph.edges
-        for (u, v), eid in self._edge_ids.items():
-            if (u, v) in graph_edges:
-                self._edge_cap[eid] = graph_edges[u, v]["bandwidth"]
         if self._flows:
             # In-flight flows keep their paths but must share the new
             # capacities from *now*; without this they would coast on
@@ -165,16 +178,43 @@ class Topology:
         return list(self._hosts.values())
 
     # -- routing ------------------------------------------------------------------
+    def _dijkstra(self, src: str) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
+        """Latency distances and paths from ``src`` to every reachable node.
+
+        Tie rule: the heap orders equal distances by push order,
+        neighbours are scanned in link insertion order, and a path is
+        only replaced by a strictly shorter one.  Routes feed every
+        transfer estimate and report digest, so tests pin this rule
+        (DESIGN.md §2.1).
+        """
+        adj = self._adj
+        dist: Dict[str, float] = {}
+        seen: Dict[str, float] = {src: 0.0}
+        paths: Dict[str, List[str]] = {src: [src]}
+        pushes = 0
+        fringe: List[Tuple[float, int, str]] = [(0.0, pushes, src)]
+        while fringe:
+            d, _, v = heapq.heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            for u, link in adj[v].items():
+                vu_dist = d + link.latency
+                if u not in dist and (u not in seen or vu_dist < seen[u]):
+                    seen[u] = vu_dist
+                    pushes += 1
+                    heapq.heappush(fringe, (vu_dist, pushes, u))
+                    paths[u] = paths[v] + [u]
+        return dist, paths
+
     def _sssp_from(self, src: str) -> Tuple[Dict[str, float], Dict[str, List[str]]]:
         """Distances and paths from ``src`` to every reachable node."""
         entry = self._sssp.get(src)
         if entry is None:
             self.sim.stats.route_cache_misses += 1
-            if src not in self.graph:
+            if src not in self._adj:
                 raise NetworkError(f"no route from unknown node {src!r}")
-            dist, paths = nx.single_source_dijkstra(self.graph, src,
-                                                    weight="latency")
-            entry = (dist, paths)
+            entry = self._dijkstra(src)
             self._sssp[src] = entry
         else:
             self.sim.stats.route_cache_hits += 1
@@ -197,8 +237,8 @@ class Topology:
             path = paths.get(dst)
             if path is None:
                 raise NetworkError(f"no route {src!r} -> {dst!r}")
-            edges = self.graph.edges
-            bottleneck = min(edges[u, v]["bandwidth"]
+            adj = self._adj
+            bottleneck = min(adj[u][v].bandwidth
                              for u, v in zip(path, path[1:]))
             metrics = (dist[dst], bottleneck)
             self._metrics[key] = metrics
@@ -273,7 +313,8 @@ class Topology:
             if eid is None:
                 eid = len(self._edge_cap)
                 edge_ids[pair] = eid
-                self._edge_cap.append(self.graph.edges[pair]["bandwidth"])
+                u, v = pair
+                self._edge_cap.append(self._adj[u][v].bandwidth)
                 self._edge_users.append([])
             out.append(eid)
         return tuple(out)

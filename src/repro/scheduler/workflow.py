@@ -11,10 +11,9 @@ from (Casanova et al., HCW 2000).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from ..perfmodel.model import ComponentModel
 
@@ -66,19 +65,27 @@ class Task:
 
 
 class Workflow:
-    """A DAG of :class:`WorkflowComponent` with data-dependence edges."""
+    """A DAG of :class:`WorkflowComponent` with data-dependence edges.
+
+    Orders are pinned to component names, never to insertion or set
+    order: :meth:`components` is the lexicographically smallest
+    topological order and :meth:`levels` sorts each generation.
+    """
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
-        self.graph = nx.DiGraph()
         self._components: Dict[str, WorkflowComponent] = {}
+        # name -> {neighbour: None}: insertion-ordered sets of edges
+        self._preds: Dict[str, Dict[str, None]] = {}
+        self._succs: Dict[str, Dict[str, None]] = {}
         self._task_names: Dict[str, Tuple[str, ...]] = {}
 
     def add_component(self, component: WorkflowComponent) -> WorkflowComponent:
         if component.name in self._components:
             raise WorkflowError(f"duplicate component {component.name!r}")
         self._components[component.name] = component
-        self.graph.add_node(component.name)
+        self._preds[component.name] = {}
+        self._succs[component.name] = {}
         return component
 
     def add_dependence(self, producer: str, consumer: str) -> None:
@@ -86,11 +93,25 @@ class Workflow:
         for name in (producer, consumer):
             if name not in self._components:
                 raise WorkflowError(f"unknown component {name!r}")
-        self.graph.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_edge(producer, consumer)
+        if self._reaches(consumer, producer):
             raise WorkflowError(
                 f"dependence {producer!r} -> {consumer!r} creates a cycle")
+        self._succs[producer][consumer] = None
+        self._preds[consumer][producer] = None
+
+    def _reaches(self, src: str, dst: str) -> bool:
+        """Whether a dependence path leads from ``src`` to ``dst``
+        (trivially so when they are the same component)."""
+        pending, seen = [src], {src}
+        while pending:
+            name = pending.pop()
+            if name == dst:
+                return True
+            for succ in self._succs[name]:
+                if succ not in seen:
+                    seen.add(succ)
+                    pending.append(succ)
+        return False
 
     # -- queries -----------------------------------------------------------
     def component(self, name: str) -> WorkflowComponent:
@@ -100,15 +121,26 @@ class Workflow:
             raise WorkflowError(f"unknown component {name!r}") from None
 
     def components(self) -> List[WorkflowComponent]:
-        """Components in a topological order (stable across runs)."""
-        order = list(nx.lexicographical_topological_sort(self.graph))
-        return [self._components[name] for name in order]
+        """Components in the lexicographically smallest topological
+        order (Kahn's algorithm with a heap of ready names)."""
+        indegree = {name: len(preds) for name, preds in self._preds.items()}
+        ready = [name for name, n in indegree.items() if n == 0]
+        heapq.heapify(ready)
+        order: List[WorkflowComponent] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(self._components[name])
+            for succ in self._succs[name]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ)
+        return order
 
     def predecessors(self, name: str) -> List[WorkflowComponent]:
-        return [self._components[p] for p in sorted(self.graph.predecessors(name))]
+        return [self._components[p] for p in sorted(self._preds[name])]
 
     def successors(self, name: str) -> List[WorkflowComponent]:
-        return [self._components[s] for s in sorted(self.graph.successors(name))]
+        return [self._components[s] for s in sorted(self._succs[name])]
 
     def tasks(self) -> List[Task]:
         """All tasks of all components, in topological component order."""
@@ -134,9 +166,21 @@ class Workflow:
         return cached
 
     def levels(self) -> List[List[WorkflowComponent]]:
-        """Components grouped by topological generation."""
-        return [[self._components[n] for n in sorted(generation)]
-                for generation in nx.topological_generations(self.graph)]
+        """Components grouped by topological generation: level ``k``
+        holds the components whose longest dependence chain from a
+        source has ``k`` edges, each level sorted by name."""
+        depth: Dict[str, int] = {}
+        levels: List[List[WorkflowComponent]] = []
+        for component in self.components():
+            preds = self._preds[component.name]
+            d = 1 + max(depth[p] for p in preds) if preds else 0
+            depth[component.name] = d
+            if d == len(levels):
+                levels.append([])
+            levels[d].append(component)
+        for level in levels:
+            level.sort(key=lambda c: c.name)
+        return levels
 
     def total_mflop(self) -> float:
         return sum(c.model.mflop(c.problem_size)

@@ -317,7 +317,7 @@ class ScenarioOutcome:
 def _apply_link(topology, op: dict) -> None:
     """Apply one topology-churn operation (idempotent on replay)."""
     if op["via"]:
-        if op["via"] not in topology.graph:
+        if op["via"] not in topology:
             topology.add_node(op["via"])
         topology.add_link(op["a"], op["via"],
                           bandwidth=op["bandwidth"],

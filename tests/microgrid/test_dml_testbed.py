@@ -99,6 +99,16 @@ class TestParseGrid:
             parse_grid("arch a mflops=1\ncluster c arch=a hosts=1\n"
                        "link c ghost bw=1Mb lat=1ms", sim)
 
+    @pytest.mark.parametrize("link", ["bw=1e400 lat=1ms", "bw=1Mb lat=1e400s"])
+    def test_non_finite_link_rejected(self, link):
+        """``1e400`` parses to ``inf``; the link must be refused, not
+        built into a path whose transfers never finish."""
+        sim = Simulator()
+        assert parse_quantity("1e400", "bandwidth") == float("inf")
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid("arch a mflops=1\ncluster c arch=a hosts=1\n"
+                       f"cluster d arch=a hosts=1\nlink c d {link}", sim)
+
     def test_missing_required_key_rejected(self):
         sim = Simulator()
         with pytest.raises(DMLError):

@@ -1,11 +1,13 @@
 """Tests for the routed topology and max-min fair flow model."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.microgrid import Architecture, Host, NetworkError, Topology
+from repro.microgrid import Architecture, Host, Link, NetworkError, Topology
 from repro.oracles.allocator import ReferenceTopology, reference_max_min
 
 
@@ -208,6 +210,68 @@ def test_link_validation():
         topo.add_link("a", "b", bandwidth=0.0, latency=0.0)
     with pytest.raises(ValueError):
         topo.add_link("a", "b", bandwidth=1.0, latency=-0.1)
+
+
+@pytest.mark.parametrize("bandwidth,latency", [
+    (math.inf, 0.0), (math.nan, 0.0), (-math.inf, 0.0),
+    (1e6, math.inf), (1e6, math.nan),
+])
+def test_link_rejects_non_finite(bandwidth, latency):
+    with pytest.raises(ValueError):
+        Link("a", "b", bandwidth, latency)
+
+
+def test_rejected_add_link_leaves_topology_unchanged():
+    """Regression: an all-``inf`` path gave no finite max-min share, so
+    a transfer over it stayed active forever.  The link is refused and
+    the existing link, routes and capacities are untouched."""
+    sim = Simulator()
+    topo, a, b = two_hosts(sim, bw=1e6, lat=0.0)
+    topo.transfer("a", "b", 1e6)  # interns both directed edges
+    sim.run()
+    before = (topo.links, topo.route("a", "b"), list(topo._edge_cap))
+    for bw, lat in ((math.inf, 0.0), (1e6, math.nan)):
+        with pytest.raises(ValueError):
+            topo.add_link("a", "sw", bandwidth=bw, latency=lat)
+        with pytest.raises(ValueError):
+            topo.add_link("a", "new", bandwidth=bw, latency=lat)
+    assert "new" not in topo
+    assert (topo.links, topo.route("a", "b"), list(topo._edge_cap)) == before
+    ev = topo.transfer("a", "b", 1e6)
+    sim.run()
+    assert ev.value == pytest.approx(1.0, rel=1e-6)
+
+
+def test_links_listed_once_in_insertion_order():
+    sim = Simulator()
+    topo = Topology(sim)
+    topo.add_node("z")
+    topo.add_link("y", "x", bandwidth=1.0, latency=0.0)
+    topo.add_link("z", "w", bandwidth=2.0, latency=0.0)
+    topo.add_link("x", "y", bandwidth=3.0, latency=1.0)  # re-add in place
+    assert topo.links == [Link("x", "y", 3.0, 1.0), Link("z", "w", 2.0, 0.0)]
+    assert "z" in topo and "w" in topo and "v" not in topo
+
+
+def test_equal_latency_diamond_tie_break_is_pinned():
+    """Route ties go to the branch whose link was added first at the
+    source, and re-adding a link keeps its place; a strictly shorter
+    branch wins regardless of order."""
+    sim = Simulator()
+    topo = Topology(sim)
+    for via in ("right", "left"):  # "right" is scanned first from "s"
+        topo.add_link("s", via, bandwidth=1e6, latency=0.25)
+    for via in ("left", "right"):
+        topo.add_link(via, "t", bandwidth=2e6, latency=0.5)
+    assert topo.route("s", "t") == ["s", "right", "t"]
+    assert topo.route("t", "s") == ["t", "left", "s"]
+    for a, b in (("s", "right"), ("right", "s")):  # stays first either way
+        topo.add_link(a, b, bandwidth=5e6, latency=0.25)
+    assert topo.route("s", "t") == ["s", "right", "t"]
+    assert topo.path_latency("s", "t") == 0.75
+    assert topo.path_bottleneck_bw("s", "t") == 2e6
+    topo.add_link("s", "left", bandwidth=5e6, latency=0.125)
+    assert topo.route("s", "t") == ["s", "left", "t"]
 
 
 def test_add_link_mid_run_reallocates_existing_flows():
