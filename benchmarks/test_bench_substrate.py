@@ -15,16 +15,23 @@ Two claims are checked, matching the overhaul's contract:
   ``tests/microgrid/test_network.py``.
 * **Speedup** — the incremental allocator completes the workload at
   least 2x faster in wall-clock terms.
+
+A second, EMAN-shaped case fans out from one head node: hundreds of
+concurrent flows over a few dozen routes.  There the path-bundled
+allocator must match the per-flow allocator bit for bit (same event
+and reallocation counts, ``==`` on bytes delivered and makespan).
 """
 
 import pytest
 
-from repro.experiments.substrate import run_substrate_bench
-from repro.oracles.allocator import ReferenceTopology
+from repro.experiments.substrate import run_fanout_bench, run_substrate_bench
+from repro.oracles.allocator import PerFlowTopology, ReferenceTopology
 
 TRANSFERS = 1500
 #: required wall-clock advantage of the incremental allocator
 MIN_SPEEDUP = 2.0
+#: completed transfers in the head-node fan-out case (256 in flight)
+FANOUT_TRANSFERS = 1500
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +88,19 @@ class TestSubstrateSpeed:
         # 32 sources, thousands of lookups: the SSSP cache must serve
         # nearly everything after warm-up.
         assert incremental["route_cache_hit_rate"] > 0.9
+
+
+def test_bench_substrate_fanout(benchmark):
+    bundled = benchmark.pedantic(
+        lambda: run_fanout_bench(total_transfers=FANOUT_TRANSFERS),
+        rounds=1, iterations=1)
+    per_flow = run_fanout_bench(total_transfers=FANOUT_TRANSFERS,
+                                topology_cls=PerFlowTopology)
+    benchmark.extra_info["events_per_sec"] = round(bundled["events_per_sec"])
+    benchmark.extra_info["per_flow_events_per_sec"] = round(
+        per_flow["events_per_sec"])
+    assert bundled["transfers_completed"] == FANOUT_TRANSFERS
+    assert bundled["events_processed"] == per_flow["events_processed"]
+    assert bundled["reallocations"] == per_flow["reallocations"]
+    assert bundled["bytes_delivered"] == per_flow["bytes_delivered"]
+    assert bundled["sim_seconds"] == per_flow["sim_seconds"]

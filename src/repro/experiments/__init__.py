@@ -33,7 +33,7 @@ from .scheduler_bench import (
     run_scheduler_bench,
     schedules_equal,
 )
-from .substrate import build_substrate_grid, run_substrate_bench
+from .substrate import build_substrate_grid, run_fanout_bench, run_substrate_bench
 
 __all__ = [
     "OpportunisticResult",
@@ -59,6 +59,7 @@ __all__ = [
     "run_faults_campaign",
     "run_fig3",
     "run_fig3_point",
+    "run_fanout_bench",
     "run_fig4",
     "run_metasched",
     "run_scheduler_bench",

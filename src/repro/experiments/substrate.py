@@ -10,26 +10,36 @@ each of the ~thousands of flow events perturbs the max-min allocation —
 the worst case for the pre-overhaul from-scratch allocator and the
 intended case for the incremental one.
 
-With ``topology_cls=ReferenceTopology`` (``repro.oracles.allocator``)
-it times the from-scratch allocator on identical flow timelines.
+:func:`run_fanout_bench` is the shape of the EMAN workflow instead: one
+head node streams inputs to every worker of the grid and collects
+results, so hundreds of concurrent flows ride a few dozen routes that
+share the head's link — two large components, one per direction.
+
+With ``topology_cls=ReferenceTopology`` or ``PerFlowTopology``
+(``repro.oracles.allocator``) either workload times a reference
+allocator on identical flow timelines.
 """
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..microgrid.host import Architecture, Host
 from ..microgrid.network import Topology
 from ..sim.kernel import Simulator
 
-__all__ = ["build_substrate_grid", "run_substrate_bench"]
+__all__ = ["build_substrate_grid", "run_fanout_bench", "run_substrate_bench"]
 
 #: access links: 1 Gbit/s, 0.1 ms; backbone: 10 Gbit/s, 5 ms
 _ACCESS_BW = 125e6
 _ACCESS_LAT = 1e-4
 _CORE_BW = 1.25e9
 _CORE_LAT = 5e-3
+#: the fan-out head node, on the core router by a 40 Gbit/s link
+_HEAD = "head"
+_HEAD_BW = 4 * _CORE_BW
 
 
 def build_substrate_grid(sim: Simulator, n_hosts: int = 32,
@@ -86,34 +96,42 @@ def _flow_spec(slot: int, seq: int, clusters: List[List[str]]
     return src, dst, nbytes
 
 
-def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
-                        total_transfers: int = 1500,
-                        tracer=None,
-                        topology_cls=Topology) -> Dict[str, float]:
-    """Run the closed-loop flow churn and report counters + events/sec.
+def _fanout_spec(slot: int, seq: int, workers: List[str]
+                 ) -> Tuple[str, str, float]:
+    """Deterministic (src, dst, nbytes) for a fan-out flow: mostly input
+    staged from the head node to a worker, every fifth a result back."""
+    mix = slot * 7919 + seq * 104729
+    worker = workers[mix % len(workers)]
+    nbytes = 0.5e6 * (1 + mix % 13)
+    if mix % 5 == 0:
+        return worker, _HEAD, nbytes
+    return _HEAD, worker, nbytes
 
-    ``concurrent_flows`` transfer slots each keep one flow in flight;
-    the run ends once ``total_transfers`` flows have completed in total.
-    ``tracer`` exists mainly for the tracing-overhead benchmark, which
-    attaches a disabled tracer to price the instrumentation hooks.
+
+def _churn(sim: Simulator, topo: Topology,
+           spec: Callable[[int, int], Tuple[str, str, float]],
+           concurrent_flows: int, total_transfers: int,
+           keep_completions: bool) -> Dict[str, float]:
+    """Keep ``concurrent_flows`` slots busy with ``spec(slot, seq)``
+    flows until ``total_transfers`` have completed; counters + events/s.
+
+    With ``keep_completions`` the result also lists every flow's
+    completion instant by start order (``completion_times``).
     """
-    sim = Simulator()
-    if tracer is not None:
-        tracer.bind(sim)
-    topo, clusters = build_substrate_grid(sim, n_hosts=n_hosts,
-                                          topology_cls=topology_cls)
     state = {"started": 0, "completed": 0}
+    completions: List[float] = [math.nan] * total_transfers
 
     def launch(slot: int) -> None:
         seq = state["started"]
         if seq >= total_transfers:
             return
         state["started"] = seq + 1
-        src, dst, nbytes = _flow_spec(slot, seq, clusters)
+        src, dst, nbytes = spec(slot, seq)
         ev = topo.transfer(src, dst, nbytes, tag=str(seq))
 
         def done(_event) -> None:
             state["completed"] += 1
+            completions[seq] = sim.now
             launch(slot)
 
         ev.add_callback(done)
@@ -135,4 +153,46 @@ def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
         "events_per_sec": (sim.stats.events_processed / elapsed
                            if elapsed > 0 else float("inf")),
     })
+    if keep_completions:
+        stats["completion_times"] = completions
     return stats
+
+
+def run_substrate_bench(n_hosts: int = 32, concurrent_flows: int = 64,
+                        total_transfers: int = 1500,
+                        tracer=None,
+                        topology_cls=Topology,
+                        keep_completions: bool = False) -> Dict[str, float]:
+    """Run the closed-loop flow churn and report counters + events/sec.
+
+    ``concurrent_flows`` transfer slots each keep one flow in flight;
+    the run ends once ``total_transfers`` flows have completed in total.
+    ``tracer`` exists mainly for the tracing-overhead benchmark, which
+    attaches a disabled tracer to price the instrumentation hooks.
+    """
+    sim = Simulator()
+    if tracer is not None:
+        tracer.bind(sim)
+    topo, clusters = build_substrate_grid(sim, n_hosts=n_hosts,
+                                          topology_cls=topology_cls)
+    return _churn(sim, topo,
+                  lambda slot, seq: _flow_spec(slot, seq, clusters),
+                  concurrent_flows, total_transfers, keep_completions)
+
+
+def run_fanout_bench(n_hosts: int = 32, concurrent_flows: int = 256,
+                     total_transfers: int = 1500,
+                     topology_cls=Topology,
+                     keep_completions: bool = False) -> Dict[str, float]:
+    """Closed-loop churn from one head node on the core router to every
+    host of the substrate grid (see :func:`_fanout_spec`)."""
+    sim = Simulator()
+    topo, clusters = build_substrate_grid(sim, n_hosts=n_hosts,
+                                          topology_cls=topology_cls)
+    topo.attach_host(Host(sim, _HEAD, Architecture(name="bench",
+                                                   mflops=1000.0)))
+    topo.add_link(_HEAD, "core", bandwidth=_HEAD_BW, latency=_ACCESS_LAT)
+    workers = [name for cluster in clusters for name in cluster]
+    return _churn(sim, topo,
+                  lambda slot, seq: _fanout_spec(slot, seq, workers),
+                  concurrent_flows, total_transfers, keep_completions)

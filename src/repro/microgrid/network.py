@@ -8,17 +8,31 @@ two hosts; link capacities are divided among the flows crossing them by
 progressive-filling **max-min fairness**, recomputed whenever a flow
 starts or finishes.
 
-Two hot paths are engineered for scale (GridSim-style indexed event
+The hot paths are engineered for scale (GridSim-style indexed event
 processing rather than per-event rescans):
 
 * **Incremental reallocation.**  Directed edges are interned to integer
-  ids the first time a flow crosses them, and the topology maintains a
-  persistent edge→flows index.  A flow arrival or departure only
-  re-runs progressive filling over the *connected component* of edges
-  and flows actually perturbed — max-min fairness is separable across
-  flow-disjoint components, so untouched components keep their rates.
-  The from-scratch oracle it is tested against lives in
-  :mod:`repro.oracles.allocator`.
+  ids the first time a flow crosses them.  A flow arrival or departure
+  only re-runs progressive filling over the *connected component* of
+  edges and flows actually perturbed — max-min fairness is separable
+  across flow-disjoint components, so untouched components keep their
+  rates.
+
+* **Path bundles.**  Every flow on one route gets the same max-min
+  rate, so the topology indexes a :class:`_Bundle` per live
+  ``edge_ids`` tuple (its flows in start order) and a per-edge list of
+  bundles; components are discovered, and filled, a bundle at a time.
+  Two rules keep the rates bit-identical to filling flow by flow (the
+  :mod:`repro.oracles.allocator` oracles):
+
+  - each edge lists its bundles by the start order of their *oldest
+    live member* — exactly the first-appearance order of a per-flow
+    edge→flows index in start order — so ties between equal shares
+    fall the same way (a bundle whose oldest member leaves is
+    re-inserted with ``bisect``);
+  - fixing a bundle of ``k`` flows subtracts the round's share from
+    each of its edges ``k`` times, clamping at 0 each time, because
+    one ``k * share`` step rounds differently.
 
 * **Routing cache.**  Routes are computed one *source* at a time with a
   single-source Dijkstra pass (all destinations at once) and cached
@@ -31,6 +45,7 @@ Capacities are in bytes/s, latencies in seconds, transfers in bytes.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -80,6 +95,28 @@ class Flow:
     started_at: float = 0.0
     total: float = 0.0
     edge_ids: Tuple[int, ...] = ()  # interned directed-edge ids (see Topology)
+    seq: int = -1  # start order among the topology's flows, once streaming
+
+
+class _Bundle:
+    """The in-flight flows on one route, in start order.
+
+    ``mark`` replaces identity sets in the allocator: a bundle whose
+    mark equals the current fill's token is in the component and not
+    yet fixed.
+    """
+
+    __slots__ = ("edge_ids", "flows", "mark")
+
+    def __init__(self, first: Flow) -> None:
+        self.edge_ids = first.edge_ids
+        self.flows: List[Flow] = [first]
+        self.mark = 0
+
+
+def _oldest(bundle: _Bundle) -> int:
+    """Sort key of a bundle in its edges' lists: oldest member's start."""
+    return bundle.flows[0].seq
 
 
 class Topology:
@@ -98,13 +135,16 @@ class Topology:
         self._links: Dict[Tuple[str, str], Link] = {}  # sorted pair -> link
         self.local_copy_bw = float(local_copy_bw)
         self._hosts: Dict[str, Host] = {}
-        self._flows: List[Flow] = []
+        self._flows: List[Flow] = []  # start order
+        self._starts = 0  # flows ever started (next Flow.seq)
         self._last_update = sim.now
         self._epoch = 0
+        self._mark = 0  # fill token (see _Bundle.mark)
         # -- edge interning (stable across route-cache invalidation) --
         self._edge_ids: Dict[Tuple[str, str], int] = {}  # directed pair -> id
         self._edge_cap: List[float] = []  # id -> bandwidth (refreshed on mutation)
-        self._edge_users: List[List[Flow]] = []  # id -> flows currently crossing
+        self._bundles: Dict[Tuple[int, ...], _Bundle] = {}  # live routes
+        self._edge_bundles: List[List[_Bundle]] = []  # id -> bundles, by _oldest
         # -- routing caches (cleared on any topology mutation) --
         self._sssp: Dict[str, Tuple[Dict[str, float], Dict[str, List[str]]]] = {}
         self._metrics: Dict[Tuple[str, str], Tuple[float, float]] = {}
@@ -315,17 +355,24 @@ class Topology:
                 edge_ids[pair] = eid
                 u, v = pair
                 self._edge_cap.append(self._adj[u][v].bandwidth)
-                self._edge_users.append([])
+                self._edge_bundles.append([])
             out.append(eid)
         return tuple(out)
 
     # -- max-min fair sharing ------------------------------------------------------
     def _start_flow(self, flow: Flow) -> None:
         self._settle()
+        flow.seq = self._starts
+        self._starts += 1
         self._flows.append(flow)
-        users = self._edge_users
-        for eid in flow.edge_ids:
-            users[eid].append(flow)
+        bundle = self._bundles.get(flow.edge_ids)
+        if bundle is None:
+            bundle = self._bundles[flow.edge_ids] = _Bundle(flow)
+            # the newest start sorts last on every edge
+            for eid in flow.edge_ids:
+                self._edge_bundles[eid].append(bundle)
+        else:
+            bundle.flows.append(flow)
         trace = self.sim.trace
         if trace is not None and "network" in trace.active:
             trace.instant("network", "flow-add", src=flow.src, dst=flow.dst,
@@ -368,72 +415,95 @@ class Topology:
 
     def _allocate(self, seed_edges: Optional[Iterable[int]]) -> None:
         """Set ``flow.allocation`` for every flow whose rate can move."""
+        self._mark += 1
+        mark = self._mark
         if seed_edges is None:
-            self._fill(self._flows)
+            # start order of the oldest members = the flows' start order
+            bundles = sorted(self._bundles.values(), key=_oldest)
+            for bundle in bundles:
+                bundle.mark = mark
         else:
-            component = self._component_flows(seed_edges)
-            if component:
-                self._fill(component)
+            bundles = self._component_bundles(seed_edges, mark)
+        if bundles:
+            self._fill(bundles, mark)
 
-    def _component_flows(self, seed_edges: Iterable[int]) -> List[Flow]:
-        """Flows transitively sharing an edge with ``seed_edges``."""
-        users = self._edge_users
+    def _component_bundles(self, seed_edges: Iterable[int],
+                           mark: int) -> List[_Bundle]:
+        """Bundles transitively sharing an edge with ``seed_edges``,
+        in first-appearance order; each is marked with ``mark``."""
+        edge_bundles = self._edge_bundles
         pending = list(seed_edges)
         seen_edges = set(pending)
-        seen_flows = set()
-        component: List[Flow] = []
+        component: List[_Bundle] = []
         while pending:
             eid = pending.pop()
-            for flow in users[eid]:
-                fid = id(flow)
-                if fid in seen_flows:
+            for bundle in edge_bundles[eid]:
+                if bundle.mark == mark:
                     continue
-                seen_flows.add(fid)
-                component.append(flow)
-                for other in flow.edge_ids:
+                bundle.mark = mark
+                component.append(bundle)
+                for other in bundle.edge_ids:
                     if other not in seen_edges:
                         seen_edges.add(other)
                         pending.append(other)
         return component
 
-    def _fill(self, flows: List[Flow]) -> None:
-        """Progressive filling over ``flows`` (a closed component).
+    def _fill(self, bundles: List[_Bundle], mark: int) -> None:
+        """Progressive filling over ``bundles`` (a closed component, each
+        marked ``mark``).
 
-        Per-edge residual capacity and unfixed-user counts are kept as
-        dicts keyed by edge id, so each round is one O(edges) scan plus
-        O(path) updates per newly fixed flow — no per-round rescan of
-        every flow on every edge.
+        Per-edge residual capacity and unfixed-flow counts are kept as
+        dicts keyed by edge id in first-appearance order (which decides
+        ties between equal shares), so each round is one O(edges) scan
+        plus O(path) updates per newly fixed bundle.
         """
         cap = self._edge_cap
-        users = self._edge_users
+        edge_bundles = self._edge_bundles
         residual: Dict[int, float] = {}
         nactive: Dict[int, int] = {}
-        for flow in flows:
-            flow.allocation = 0.0
-            for eid in flow.edge_ids:
+        for bundle in bundles:
+            k = len(bundle.flows)
+            for eid in bundle.edge_ids:
                 if eid in nactive:
-                    nactive[eid] += 1
+                    nactive[eid] += k
                 else:
-                    nactive[eid] = 1
+                    nactive[eid] = k
                     residual[eid] = cap[eid]
-        unfixed = {id(f) for f in flows}
+        unfixed = len(bundles)
         while unfixed:
             best_eid, best_share = -1, math.inf
             for eid, n in nactive.items():
-                if n:
-                    share = residual[eid] / n
-                    if share < best_share:
-                        best_share, best_eid = share, eid
+                share = residual[eid] / n
+                if share < best_share:
+                    best_share, best_eid = share, eid
             if best_eid < 0:
                 break  # remaining flows cross no constrained edge
-            for flow in users[best_eid]:
-                if id(flow) in unfixed:
+            for bundle in edge_bundles[best_eid]:
+                if bundle.mark != mark:
+                    continue
+                bundle.mark = 0
+                unfixed -= 1
+                flows = bundle.flows
+                k = len(flows)
+                for flow in flows:
                     flow.allocation = best_share
-                    unfixed.discard(id(flow))
-                    for eid in flow.edge_ids:
-                        remaining = residual[eid] - best_share
-                        residual[eid] = remaining if remaining > 0.0 else 0.0
-                        nactive[eid] -= 1
+                for eid in bundle.edge_ids:
+                    n = nactive[eid] - k
+                    if not n:
+                        # every flow on it is fixed: its residual is
+                        # never read again (deleting keeps key order)
+                        del nactive[eid]
+                        continue
+                    nactive[eid] = n
+                    # one clamped subtraction per flow, as a per-flow
+                    # fill does: k * best_share would round differently
+                    remaining = residual[eid]
+                    for _ in range(k):
+                        remaining -= best_share
+                        if not remaining > 0.0:
+                            remaining = 0.0
+                            break
+                    residual[eid] = remaining
 
     def _schedule_next_completion(self) -> None:
         horizon = math.inf
@@ -467,11 +537,10 @@ class Topology:
                     if f.remaining <= _EPS * f.total
                     or (f.allocation > 0
                         and f.remaining <= f.allocation * 1e-9)]
+        if finished:
+            self._drop(finished)
         seed: List[int] = []
         for flow in finished:
-            self._flows.remove(flow)
-            for eid in flow.edge_ids:
-                self._edge_users[eid].remove(flow)
             seed.extend(flow.edge_ids)
             if trace is not None:
                 trace.complete("network", "flow", ts=flow.started_at,
@@ -480,6 +549,37 @@ class Topology:
         self._reallocate(seed_edges=seed)
         for flow in finished:
             flow.event.succeed(self.sim.now - flow.started_at)
+
+    def _drop(self, finished: List[Flow]) -> None:
+        """Take ``finished`` out of ``_flows`` (one order-preserving
+        rebuild, not a removal per flow) and out of their bundles."""
+        done = {flow.seq for flow in finished}
+        self._flows = [f for f in self._flows if f.seq not in done]
+        for flow in finished:
+            edge_ids = flow.edge_ids
+            bundle = self._bundles[edge_ids]
+            members = bundle.flows
+            oldest = members[0]
+            members.remove(flow)  # finishers are mostly the oldest
+            if not members:
+                del self._bundles[edge_ids]
+                for eid in edge_ids:
+                    self._edge_bundles[eid].remove(bundle)
+            elif members[0] is not oldest:
+                # a younger member now dates the bundle: move it back
+                for eid in edge_ids:
+                    bundles = self._edge_bundles[eid]
+                    bundles.remove(bundle)
+                    bisect.insort(bundles, bundle, key=_oldest)
+
+    def edge_loads(self) -> List[Tuple[float, float]]:
+        """``(allocated, capacity)`` in bytes/s per interned directed
+        edge, by edge id; loads are summed over flows in start order."""
+        loads = [0.0] * len(self._edge_cap)
+        for flow in self._flows:
+            for eid in flow.edge_ids:
+                loads[eid] += flow.allocation
+        return list(zip(loads, self._edge_cap))
 
     @property
     def active_flows(self) -> int:

@@ -16,8 +16,9 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 from ..experiments.forecast_replay import TRACES, replay_forecasts
 from ..experiments.metasched_stream import run_metasched
 from ..experiments.scheduler_bench import run_scheduler_bench, schedules_equal
-from ..experiments.substrate import run_substrate_bench
-from .allocator import ReferenceTopology
+from ..experiments.substrate import run_fanout_bench, run_substrate_bench
+from ..microgrid.network import Topology
+from .allocator import PerFlowTopology, ReferenceTopology
 from .forecaster import reference_battery
 from .planner import ReferenceMetaScheduler
 from .scheduler import REFERENCE_HEURISTICS
@@ -45,6 +46,28 @@ def _compare_flows(fast: dict, reference: dict) -> Optional[str]:
         if not math.isclose(fast[key], reference[key], rel_tol=1e-9):
             return f"{key}: {fast[key]!r} != {reference[key]!r}"
     return None
+
+
+def _compare_flows_exact(fast: dict, reference: dict) -> Optional[str]:
+    for key in ("events_processed", "reallocations", "transfers_completed",
+                "bytes_delivered", "sim_seconds"):
+        if fast[key] != reference[key]:
+            return f"{key}: {fast[key]!r} != {reference[key]!r}"
+    for seq, (a, b) in enumerate(zip(fast["completion_times"],
+                                     reference["completion_times"])):
+        if a != b:
+            return f"flow {seq} completes at {a!r} != {b!r}"
+    return None
+
+
+#: flow workloads the exact allocator oracle runs, by case["bench"]
+_FLOW_BENCHES = {"churn": run_substrate_bench, "fanout": run_fanout_bench}
+
+
+def _flow_run(case: dict, topology_cls=Topology) -> dict:
+    kwargs = dict(case)
+    bench = _FLOW_BENCHES[kwargs.pop("bench")]
+    return bench(topology_cls=topology_cls, keep_completions=True, **kwargs)
 
 
 def _compare_forecasts(fast: dict, reference: dict) -> Optional[str]:
@@ -80,6 +103,12 @@ ORACLES: Dict[str, Oracle] = {
             topology_cls=ReferenceTopology, **case),
         compare=_compare_flows,
         cases=(dict(total_transfers=800),)),
+    "allocator-exact": Oracle(
+        fast=_flow_run,
+        reference=lambda case: _flow_run(case, PerFlowTopology),
+        compare=_compare_flows_exact,
+        cases=(dict(bench="churn", total_transfers=800),
+               dict(bench="fanout", total_transfers=600))),
     "planner": Oracle(
         fast=lambda case: run_metasched(**case).report(),
         reference=lambda case: run_metasched(

@@ -52,10 +52,8 @@ class Violation:
 
 def _flow_capacity(ctx) -> List[str]:
     """No directed edge carries more allocated bandwidth than it has."""
-    topology = ctx.topology
     out = []
-    for eid, cap in enumerate(topology._edge_cap):
-        load = sum(flow.allocation for flow in topology._edge_users[eid])
+    for eid, (load, cap) in enumerate(ctx.topology.edge_loads()):
         if load > cap * (1.0 + _REL_TOL) + _ABS_TOL:
             out.append(f"edge {eid}: allocated {load:.6f} B/s over "
                        f"capacity {cap:.6f} B/s")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -140,6 +141,10 @@ PERTURB = {
     "scheduler": _perturb_schedule,
     "allocator": lambda stats: {
         **stats, "bytes_delivered": stats["bytes_delivered"] * (1 + 1e-6)},
+    # one ulp: the exact oracle tolerates no rounding difference at all
+    "allocator-exact": lambda stats: {
+        **stats, "bytes_delivered": math.nextafter(stats["bytes_delivered"],
+                                                   math.inf)},
     "planner": lambda report: {**report, "conflicts": ["perturbed"]},
     "forecaster": lambda replay: {**replay, "best": "perturbed"},
 }
@@ -148,6 +153,8 @@ PERTURB = {
 SMALL_CASES = {
     "scheduler": (dict(n_tasks=16, n_hosts=4),),
     "allocator": (dict(total_transfers=40),),
+    "allocator-exact": (dict(bench="churn", total_transfers=40),
+                        dict(bench="fanout", total_transfers=60)),
     "planner": (dict(users=2, arrival_rate=0.01, duration=600.0, seed=0,
                      max_jobs=3),),
     "forecaster": (dict(trace="onoff", length=60),),
