@@ -482,9 +482,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                  f"{'+'.join(result['heuristics'])}")
     else:
         result = run_substrate_bench(total_transfers=args.transfers)
-        headers = ["allocator", "wall (s)", "events/sec", "events",
-                   "reallocs", "stale wakeups", "route hit rate"]
+        headers = ["allocator", "wall (s)", "transfers/sec", "events/sec",
+                   "events", "reallocs", "stale wakeups", "route hit rate"]
         row = [str(result["allocator"]), f"{result['wall_seconds']:.3f}",
+               f"{result['transfers_per_sec']:,.0f}",
                f"{result['events_per_sec']:,.0f}",
                f"{int(result['events_processed'])}",
                f"{int(result['reallocations'])}",

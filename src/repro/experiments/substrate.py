@@ -113,7 +113,8 @@ def _churn(sim: Simulator, topo: Topology,
            concurrent_flows: int, total_transfers: int,
            keep_completions: bool) -> Dict[str, float]:
     """Keep ``concurrent_flows`` slots busy with ``spec(slot, seq)``
-    flows until ``total_transfers`` have completed; counters + events/s.
+    flows until ``total_transfers`` have completed; counters, events/s
+    and transfers/s.
 
     With ``keep_completions`` the result also lists every flow's
     completion instant by start order (``completion_times``).
@@ -152,6 +153,11 @@ def _churn(sim: Simulator, topo: Topology,
         "wall_seconds": elapsed,
         "events_per_sec": (sim.stats.events_processed / elapsed
                            if elapsed > 0 else float("inf")),
+        # engines differ in events per transfer (the coalescing topology
+        # adds instant closes and drops stale wake-ups), so compare
+        # engines by transfers/s
+        "transfers_per_sec": (state["completed"] / elapsed
+                              if elapsed > 0 else float("inf")),
     })
     if keep_completions:
         stats["completion_times"] = completions

@@ -5,8 +5,8 @@ simulator; we reproduce the behaviour that matters to scheduling and
 rescheduling decisions: per-path latency and *shared* bandwidth.  Every
 transfer is a flow routed over the shortest path (by latency) between
 two hosts; link capacities are divided among the flows crossing them by
-progressive-filling **max-min fairness**, recomputed whenever a flow
-starts or finishes.
+progressive-filling **max-min fairness**, recomputed once per simulated
+instant at which a flow starts or finishes (or the topology changes).
 
 The hot paths are engineered for scale (GridSim-style indexed event
 processing rather than per-event rescans):
@@ -17,6 +17,16 @@ processing rather than per-event rescans):
   edges and flows actually perturbed — max-min fairness is separable
   across flow-disjoint components, so untouched components keep their
   rates.
+
+* **One fill per instant.**  Flow events at one instant only record
+  their seed edges (and bump the completion epoch); a single close in
+  the kernel's LATE band fills what they perturbed and schedules the
+  next completion.  Rates only act over positive intervals, so the
+  result is bit-identical to filling at every event provided each
+  component gets the fill its *last* perturbation would have given it:
+  the close replays the records newest first, each one filling the
+  component its own seeds reach minus the bundles a newer record
+  already filled (see :meth:`Topology._refill`).
 
 * **Path bundles.**  Every flow on one route gets the same max-min
   rate, so the topology indexes a :class:`_Bundle` per live
@@ -49,7 +59,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.events import Event
 from ..sim.kernel import Simulator
@@ -103,7 +113,8 @@ class _Bundle:
 
     ``mark`` replaces identity sets in the allocator: a bundle whose
     mark equals the current fill's token is in the component and not
-    yet fixed.
+    yet fixed, and one marked at or above the first token of the
+    instant's replay (:meth:`Topology._refill`) is already claimed.
     """
 
     __slots__ = ("edge_ids", "flows", "mark")
@@ -140,6 +151,12 @@ class Topology:
         self._last_update = sim.now
         self._epoch = 0
         self._mark = 0  # fill token (see _Bundle.mark)
+        # seed edges of this instant's perturbations, oldest first (None:
+        # full refill), and whether its close is already queued
+        self._perturbed: List[Optional[Sequence[int]]] = []
+        self._close_queued = False
+        self._close = self._close_instant  # one bound callable, reused
+        self._last_close = math.nan  # instant of the latest close
         # -- edge interning (stable across route-cache invalidation) --
         self._edge_ids: Dict[Tuple[str, str], int] = {}  # directed pair -> id
         self._edge_cap: List[float] = []  # id -> bandwidth (refreshed on mutation)
@@ -204,7 +221,7 @@ class Topology:
             # capacities from *now*; without this they would coast on
             # stale allocations until the next flow arrival/departure.
             self._settle()
-            self._reallocate()
+            self._perturb(None)
 
     def host(self, name: str) -> Host:
         """Look up an attached host by name."""
@@ -377,7 +394,7 @@ class Topology:
         if trace is not None and "network" in trace.active:
             trace.instant("network", "flow-add", src=flow.src, dst=flow.dst,
                           bytes=flow.total, active=len(self._flows))
-        self._reallocate(seed_edges=flow.edge_ids)
+        self._perturb(flow.edge_ids)
 
     def _settle(self) -> None:
         now = self.sim.now
@@ -392,45 +409,71 @@ class Topology:
         self._last_update = now
 
     # -- reallocation ---------------------------------------------------------------
-    def _reallocate(self, seed_edges: Optional[Iterable[int]] = None) -> None:
-        """Recompute max-min fair rates after a flow/topology change.
+    def _perturb(self, seed_edges: Optional[Sequence[int]]) -> None:
+        """Record a flow or topology change for this instant's close.
 
-        With ``seed_edges`` (the edges of the arriving or departing
-        flows) only the connected component of flows transitively
-        sharing an edge with the perturbation is recomputed; rates
-        outside that component cannot change.  Without it (a topology
-        mutation) everything is redone.
+        ``seed_edges`` are the edges of the arriving or departing flows;
+        ``None`` (a topology mutation) asks for a full refill, which
+        supersedes every older record.  The epoch moves at once, so
+        completion wake-ups already queued go stale here, not at the
+        close.
         """
         self._epoch += 1
-        self.sim.stats.reallocations += 1
-        trace = self.sim.trace
-        if trace is not None and "network" in trace.active:
-            trace.instant("network", "realloc", epoch=self._epoch,
-                          flows=len(self._flows),
-                          scoped=seed_edges is not None)
-        if not self._flows:
-            return
-        self._allocate(seed_edges)
-        self._schedule_next_completion()
-
-    def _allocate(self, seed_edges: Optional[Iterable[int]]) -> None:
-        """Set ``flow.allocation`` for every flow whose rate can move."""
-        self._mark += 1
-        mark = self._mark
         if seed_edges is None:
-            # start order of the oldest members = the flows' start order
-            bundles = sorted(self._bundles.values(), key=_oldest)
-            for bundle in bundles:
-                bundle.mark = mark
-        else:
-            bundles = self._component_bundles(seed_edges, mark)
-        if bundles:
-            self._fill(bundles, mark)
+            self._perturbed.clear()
+        self._perturbed.append(seed_edges)
+        if not self._close_queued:
+            self._close_queued = True
+            self.sim.call_late(self._close)
 
-    def _component_bundles(self, seed_edges: Iterable[int],
-                           mark: int) -> List[_Bundle]:
+    def _close_instant(self, _event: Event) -> None:
+        # Dispatched through the attribute so the close always runs as
+        # ``Topology._wake``, however that method is wrapped.
+        self._wake(None)
+
+    def _refill(self) -> None:
+        """Run the fills this instant's perturbations still owe.
+
+        The records are replayed newest first.  Each one fills the
+        component its own seed edges reach in the current state, less
+        the bundles a newer record already claimed; a ``None`` record
+        fills every unclaimed bundle, by :func:`_oldest`.  Filling at
+        every event leaves each bundle at the rate of the last fill that
+        reached it, whose discovery order broke ties between equal
+        shares; this replay gives every bundle that fill, in that order.
+        Seeding one fill with the union of the seeds would not: the
+        discovery would meet edges in another order.
+        """
+        records = self._perturbed
+        if not records:
+            return
+        self._perturbed = []
+        live = len(self._bundles)
+        if not live:
+            return
+        self._mark += 1
+        claimed = self._mark  # marks >= claimed: filled by this replay
+        for seed_edges in reversed(records):
+            self._mark += 1
+            mark = self._mark
+            if seed_edges is None:
+                bundles = sorted((b for b in self._bundles.values()
+                                  if b.mark < claimed), key=_oldest)
+                for bundle in bundles:
+                    bundle.mark = mark
+            else:
+                bundles = self._component_bundles(seed_edges, mark, claimed)
+            if bundles:
+                self._fill(bundles, mark, claimed)
+                live -= len(bundles)
+            if seed_edges is None or not live:
+                return
+
+    def _component_bundles(self, seed_edges: Iterable[int], mark: int,
+                           claimed: int) -> List[_Bundle]:
         """Bundles transitively sharing an edge with ``seed_edges``,
-        in first-appearance order; each is marked with ``mark``."""
+        in first-appearance order, skipping those marked ``claimed`` or
+        later; each one found is marked with ``mark``."""
         edge_bundles = self._edge_bundles
         pending = list(seed_edges)
         seen_edges = set(pending)
@@ -438,7 +481,7 @@ class Topology:
         while pending:
             eid = pending.pop()
             for bundle in edge_bundles[eid]:
-                if bundle.mark == mark:
+                if bundle.mark >= claimed:
                     continue
                 bundle.mark = mark
                 component.append(bundle)
@@ -448,9 +491,9 @@ class Topology:
                         pending.append(other)
         return component
 
-    def _fill(self, bundles: List[_Bundle], mark: int) -> None:
+    def _fill(self, bundles: List[_Bundle], mark: int, done: int) -> None:
         """Progressive filling over ``bundles`` (a closed component, each
-        marked ``mark``).
+        marked ``mark``); a fixed bundle is marked ``done``.
 
         Per-edge residual capacity and unfixed-flow counts are kept as
         dicts keyed by edge id in first-appearance order (which decides
@@ -481,7 +524,7 @@ class Topology:
             for bundle in edge_bundles[best_eid]:
                 if bundle.mark != mark:
                     continue
-                bundle.mark = 0
+                bundle.mark = done
                 unfixed -= 1
                 flows = bundle.flows
                 k = len(flows)
@@ -517,10 +560,26 @@ class Topology:
         epoch = self._epoch
         self.sim.call_after(max(horizon, 0.0), lambda: self._wake(epoch))
 
-    def _wake(self, epoch: int) -> None:
+    def _wake(self, epoch: Optional[int]) -> None:
+        """Completion wake-up scheduled by the close of ``epoch``, or
+        (``None``) the close of a perturbed instant: fill, then schedule
+        the next completion wake-up."""
         trace = self.sim.trace
         if trace is not None and "network" not in trace.active:
             trace = None
+        if epoch is None:
+            self._close_queued = False
+            if self.sim.now != self._last_close:  # simlint: ignore[SL005] — one instant is one exact clock value, as the kernel batches it
+                self._last_close = self.sim.now
+                self.sim.stats.reallocations += 1
+            if trace is not None:
+                records = self._perturbed
+                trace.instant("network", "realloc", epoch=self._epoch,
+                              flows=len(self._flows),
+                              scoped=not records or records[0] is not None)
+            self._refill()
+            self._schedule_next_completion()
+            return
         if epoch != self._epoch:
             self.sim.stats.wakeups_cancelled += 1
             if trace is not None:
@@ -546,7 +605,7 @@ class Topology:
                 trace.complete("network", "flow", ts=flow.started_at,
                                dur=self.sim.now - flow.started_at,
                                src=flow.src, dst=flow.dst, bytes=flow.total)
-        self._reallocate(seed_edges=seed)
+        self._perturb(seed)
         for flow in finished:
             flow.event.succeed(self.sim.now - flow.started_at)
 
@@ -574,7 +633,12 @@ class Topology:
 
     def edge_loads(self) -> List[Tuple[float, float]]:
         """``(allocated, capacity)`` in bytes/s per interned directed
-        edge, by edge id; loads are summed over flows in start order."""
+        edge, by edge id; loads are summed over flows in start order.
+
+        Fills still pending in this instant run first (the close then
+        has none left to run); the agenda is not touched.
+        """
+        self._refill()
         loads = [0.0] * len(self._edge_cap)
         for flow in self._flows:
             for eid in flow.edge_ids:

@@ -18,7 +18,7 @@ from ..experiments.metasched_stream import run_metasched
 from ..experiments.scheduler_bench import run_scheduler_bench, schedules_equal
 from ..experiments.substrate import run_fanout_bench, run_substrate_bench
 from ..microgrid.network import Topology
-from .allocator import PerFlowTopology, ReferenceTopology
+from .allocator import PerFlowTopology, ReferenceTopology, run_flow_bench
 from .forecaster import reference_battery
 from .planner import ReferenceMetaScheduler
 from .scheduler import REFERENCE_HEURISTICS
@@ -49,8 +49,10 @@ def _compare_flows(fast: dict, reference: dict) -> Optional[str]:
 
 
 def _compare_flows_exact(fast: dict, reference: dict) -> Optional[str]:
-    for key in ("events_processed", "reallocations", "transfers_completed",
-                "bytes_delivered", "sim_seconds"):
+    if fast["reallocations"] != reference["fill_instants"]:
+        return (f"reallocations: {fast['reallocations']!r} != "
+                f"{reference['fill_instants']!r} fill instants")
+    for key in ("transfers_completed", "bytes_delivered", "sim_seconds"):
         if fast[key] != reference[key]:
             return f"{key}: {fast[key]!r} != {reference[key]!r}"
     for seq, (a, b) in enumerate(zip(fast["completion_times"],
@@ -67,7 +69,8 @@ _FLOW_BENCHES = {"churn": run_substrate_bench, "fanout": run_fanout_bench}
 def _flow_run(case: dict, topology_cls=Topology) -> dict:
     kwargs = dict(case)
     bench = _FLOW_BENCHES[kwargs.pop("bench")]
-    return bench(topology_cls=topology_cls, keep_completions=True, **kwargs)
+    return run_flow_bench(bench, topology_cls, keep_completions=True,
+                          **kwargs)
 
 
 def _compare_forecasts(fast: dict, reference: dict) -> Optional[str]:

@@ -1,5 +1,7 @@
 """Reference oracles for the max-min flow allocator (§2.1, DESIGN.md §4.2).
 
+Both oracles fill at every flow event, as :class:`Topology` did before
+it coalesced an instant's fills into one close (:class:`EagerTopology`).
 :class:`ReferenceTopology` recomputes every in-flight flow on every
 reallocation with :func:`reference_max_min`, the pre-overhaul
 from-scratch progressive filling; it agrees with the fast path to a
@@ -11,11 +13,12 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..microgrid.network import Flow, Topology
 
-__all__ = ["PerFlowTopology", "ReferenceTopology", "reference_max_min"]
+__all__ = ["EagerTopology", "PerFlowTopology", "ReferenceTopology",
+           "reference_max_min", "run_flow_bench"]
 
 
 def reference_max_min(paths: Sequence[Sequence[int]],
@@ -52,7 +55,45 @@ def reference_max_min(paths: Sequence[Sequence[int]],
     return alloc
 
 
-class ReferenceTopology(Topology):
+class EagerTopology(Topology):
+    """A :class:`Topology` that fills at every flow event, through the
+    :meth:`_allocate` hook its subclasses define.
+
+    ``fill_instants`` counts the distinct instants with at least one
+    fill: the ``reallocations`` the coalescing :class:`Topology` counts
+    on the same run.
+    """
+
+    def __init__(self, sim, local_copy_bw: float = 1e9) -> None:
+        super().__init__(sim, local_copy_bw)
+        self.fill_instants = 0
+        self._last_fill = math.nan
+
+    def _perturb(self, seed_edges: Optional[Sequence[int]]) -> None:
+        """Recompute max-min fair rates after a flow/topology change.
+
+        With ``seed_edges`` (the edges of the arriving or departing
+        flows) only the connected component of flows transitively
+        sharing an edge with the perturbation is recomputed; rates
+        outside that component cannot change.  Without it (a topology
+        mutation) everything is redone.
+        """
+        self._epoch += 1
+        self.sim.stats.reallocations += 1
+        if self.sim.now != self._last_fill:  # simlint: ignore[SL005] — one instant is one exact clock value, as the kernel batches it
+            self._last_fill = self.sim.now
+            self.fill_instants += 1
+        if not self._flows:
+            return
+        self._allocate(seed_edges)
+        self._schedule_next_completion()
+
+    def _allocate(self, seed_edges: Optional[Iterable[int]]) -> None:
+        """Set ``flow.allocation`` for every flow whose rate can move."""
+        raise NotImplementedError
+
+
+class ReferenceTopology(EagerTopology):
     """A :class:`Topology` that re-fills every flow on every event."""
 
     def _allocate(self, seed_edges: Optional[Iterable[int]]) -> None:
@@ -121,7 +162,7 @@ def _per_flow_fill(cap: Sequence[float], users: Sequence[Sequence[Flow]],
                     nactive[eid] -= 1
 
 
-class PerFlowTopology(Topology):
+class PerFlowTopology(EagerTopology):
     """A :class:`Topology` that re-fills the perturbed component flow
     by flow, over an edge→flows index rebuilt in start order."""
 
@@ -136,3 +177,21 @@ class PerFlowTopology(Topology):
             component = _per_flow_component(users, seed_edges)
             if component:
                 _per_flow_fill(self._edge_cap, users, component)
+
+
+def run_flow_bench(bench: Callable[..., dict], topology_cls=Topology,
+                   **kwargs) -> dict:
+    """``bench(topology_cls=topology_cls, **kwargs)`` for a flow
+    benchmark (``run_substrate_bench``, ``run_fanout_bench``); on an
+    :class:`EagerTopology` the result also carries its
+    ``fill_instants``."""
+    built: List[Topology] = []
+
+    def build(sim) -> Topology:
+        built.append(topology_cls(sim))
+        return built[-1]
+
+    result = bench(topology_cls=build, **kwargs)
+    if isinstance(built[0], EagerTopology):
+        result["fill_instants"] = built[0].fill_instants
+    return result

@@ -10,7 +10,8 @@ The :meth:`Simulator.run` loop is the hottest code in the repository —
 every transfer byte and Mflop of the emulated grid is accounted for
 through it — so it keeps an inlined copy of :meth:`Simulator.step` with
 hoisted locals and batches all entries that share a timestamp (URGENT
-event-processing bookkeeping included) between ``until`` checks.
+event-processing bookkeeping and LATE instant closes included) between
+``until`` checks.
 ``sim.stats`` (:class:`~repro.sim.stats.KernelStats`) counts every event
 processed so workloads can report events/sec.
 """
@@ -26,10 +27,14 @@ from .stats import KernelStats
 
 __all__ = ["Simulator", "StopSimulation"]
 
-#: Priority bands: URGENT is used for event-processing bookkeeping so that
-#: an event's callbacks run before same-time timeouts created afterwards.
+#: Priority bands within one instant.  URGENT is used for event-processing
+#: bookkeeping so that an event's callbacks run before same-time timeouts
+#: created afterwards.  LATE (:meth:`Simulator.call_late`) closes an
+#: instant: it runs after every URGENT and NORMAL entry at its time, those
+#: created while it waits included, and before the clock moves on.
 URGENT = 0
 NORMAL = 1
+LATE = 2
 
 
 class StopSimulation(Exception):
@@ -145,10 +150,12 @@ class Simulator:
                     self._now = until
                     return None
                 # Batch every entry sharing this timestamp — same-time
-                # URGENT callbacks (event bookkeeping) and timeouts run
-                # back-to-back without re-checking `until`.  Callbacks
-                # can only append entries at >= the current time, so the
-                # heap head never moves before `head` mid-batch.
+                # URGENT callbacks (event bookkeeping), timeouts and LATE
+                # instant closes run back-to-back without re-checking
+                # `until`, so a close always runs with its instant.
+                # Callbacks can only append entries at >= the current
+                # time, so the heap head never moves before `head`
+                # mid-batch.
                 while agenda and agenda[0][0] == head:
                     when, _prio, _seq, event = pop(agenda)
                     if when > self._now:
@@ -199,4 +206,24 @@ class Simulator:
         """Invoke ``fn()`` after ``delay`` simulated time units."""
         ev = self.timeout(delay)
         ev.add_callback(lambda _e: fn())
+        return ev
+
+    def call_late(self, callback: Callable[[Event], None]) -> Event:
+        """Invoke ``callback(event)`` in the LATE band at ``now``: after
+        all other work of this instant, before the clock advances.
+
+        ``callback`` becomes the event's callback as is, so a caller
+        that closes many instants can pass one bound method each time.
+        Like :class:`Timeout`, the event's slots are written directly:
+        a topology queues one of these per perturbed instant.
+        """
+        ev = Event.__new__(Event)
+        ev.sim = self
+        ev.callbacks = [callback]
+        ev._value = None
+        ev._ok = True
+        ev.name = ""
+        ev.defused = False
+        self._seq += 1
+        heapq.heappush(self._agenda, (self._now, LATE, self._seq, ev))
         return ev

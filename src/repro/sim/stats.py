@@ -2,10 +2,12 @@
 
 Every :class:`~repro.sim.kernel.Simulator` owns a :class:`KernelStats`
 instance (``sim.stats``).  The kernel increments ``events_processed``
-per agenda entry; the MicroGrid layers increment the substrate counters
-(``reallocations`` on every max-min recomputation, ``wakeups_cancelled``
-whenever a stale epoch-guarded completion wake-up fires, and the route
-cache hit/miss pair); the workflow scheduler increments the ``sched_*``
+per agenda entry, the LATE-band instant closes included; the MicroGrid
+layers increment the substrate counters (``reallocations`` once per
+perturbed simulated instant — one fill of max-min rates however many
+flows started or finished in it, ``wakeups_cancelled`` whenever a stale
+epoch-guarded completion wake-up fires, and the route cache hit/miss
+pair); the workflow scheduler increments the ``sched_*``
 trio (list-scheduling rounds, per-cell completion-time evaluations, and
 NWS transfer-forecast memo hits); the metascheduler increments the
 ``meta_*`` family (submissions, rejections, starts, completions,

@@ -338,14 +338,26 @@ def test_route_cache_invalidated_by_topology_change_counters():
     assert sim.stats.route_cache_misses == 2
 
 
-def test_reallocation_counter_increments_per_flow_event():
+def test_reallocation_counter_increments_per_perturbed_instant():
     sim = Simulator()
     topo, a, b = two_hosts(sim, lat=0.0)
     topo.transfer("a", "b", 1e6)
     topo.transfer("a", "b", 1e6)
     sim.run()
-    # two arrivals + one departure wake (both finish together)
-    assert sim.stats.reallocations == 3
+    # both arrivals share t=0, both departures t=2: one fill each
+    assert sim.stats.reallocations == 2
+
+
+def test_reallocation_counter_counts_arrivals_at_different_instants():
+    sim = Simulator()
+    topo, a, b = two_hosts(sim, lat=0.0)
+    first = topo.transfer("a", "b", 1e6)
+    sim.call_at(0.5, lambda: topo.transfer("a", "b", 1e6))
+    sim.run()
+    # arrivals at 0 and 0.5, departures at 1.5 and 2.0
+    assert first.value == pytest.approx(1.5)
+    assert sim.now == pytest.approx(2.0)
+    assert sim.stats.reallocations == 4
 
 
 @settings(max_examples=25, deadline=None)

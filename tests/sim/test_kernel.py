@@ -373,6 +373,66 @@ def test_same_time_batch_preserves_until_semantics():
     assert sim.now == 1.0
 
 
+def test_late_band_runs_after_all_work_of_its_instant():
+    """A LATE entry runs after every URGENT and NORMAL entry of its
+    instant, those created while it waits included, and before the
+    clock moves on."""
+    sim = Simulator()
+    order = []
+
+    def normal(tag):
+        order.append((sim.now, tag))
+        if tag == "n1":
+            # created mid-instant: a NORMAL timeout and an URGENT
+            # event callback, both still ahead of the LATE entry
+            sim.call_after(0.0, lambda: normal("n-late-created"))
+            sim.event().succeed().add_callback(
+                lambda _e: order.append((sim.now, "urgent")))
+
+    def queue_late():
+        order.append((sim.now, "queue"))
+        sim.call_late(lambda ev: order.append((sim.now, "late")))
+
+    sim.call_at(1.0, queue_late)
+    sim.call_at(1.0, lambda: normal("n1"))
+    sim.call_at(1.0, lambda: normal("n2"))
+    sim.call_at(2.0, lambda: normal("next"))
+    sim.run()
+    assert order == [(1.0, "queue"), (1.0, "n1"), (1.0, "urgent"),
+                     (1.0, "n2"), (1.0, "n-late-created"),
+                     (1.0, "late"), (2.0, "next")]
+
+
+def test_late_band_runs_under_run_until_now():
+    sim = Simulator()
+    seen = []
+    sim.call_at(1.0, lambda: sim.call_late(lambda ev: seen.append(sim.now)))
+    sim.run(until=1.0)
+    assert seen == [1.0]
+    assert sim.now == 1.0
+    assert sim.peek() == float("inf")
+
+
+def test_stop_event_mid_instant_leaves_late_entry_for_next_run():
+    """A stop that fires mid-instant leaves the instant's LATE entry
+    queued; the next run() drains it before the clock advances."""
+    sim = Simulator()
+    stop = sim.event()
+    seen = []
+
+    def perturb():
+        sim.call_late(lambda ev: seen.append(("late", sim.now)))
+        stop.succeed("halt")
+
+    sim.call_at(1.0, perturb)
+    sim.call_at(3.0, lambda: seen.append(("later", sim.now)))
+    assert sim.run(stop_event=stop) == "halt"
+    assert seen == [] and sim.now == 1.0
+    assert sim.peek() == 1.0
+    sim.run()
+    assert seen == [("late", 1.0), ("later", 3.0)]
+
+
 def test_call_at_schedules_absolute_time():
     sim = Simulator()
     hits = []
