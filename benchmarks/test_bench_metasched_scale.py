@@ -6,7 +6,8 @@ cancel-all/rebuild-all reference oracle.  Asserts the speedup floor,
 that both engines emit byte-identical same-seed reports in the same
 run that measures the speedup (speed must not buy a different answer),
 that the claim audit is clean at scale, and a throughput sanity floor.
-Writes ``BENCH_metasched_scale.json`` for the CI artifact upload.
+Writes ``benchmarks/out/BENCH_metasched_scale.json`` (an ignored
+directory) for the CI artifact upload.
 """
 
 import gc
@@ -30,7 +31,7 @@ MIN_SPEEDUP = 5.0
 #: jobs/hour of simulated time; the measured stream sustains ~160
 MIN_THROUGHPUT = 100.0
 
-ARTIFACT = pathlib.Path("BENCH_metasched_scale.json")
+ARTIFACT = pathlib.Path(__file__).parent / "out" / "BENCH_metasched_scale.json"
 
 
 def _timed_run(service_cls):
@@ -76,15 +77,15 @@ class TestMetaschedScale:
             rows.append([
                 "fast" if result is fast else "reference",
                 f"{wall:.2f}", f"{int(c['meta_plan_rounds'])}",
-                f"{int(c['meta_plan_kept'])}",
                 f"{int(c['meta_plan_rebuilt'])}",
                 f"{int(c['meta_plan_window_probes'])}",
+                f"{int(c['meta_plan_probes_skipped'])}",
                 f"{result.summary()['throughput_jobs_per_hour']:.1f}",
             ])
         print()
         print(format_table(
-            ["engine", "wall (s)", "rounds", "kept", "rebuilt",
-             "window probes", "jobs/h"],
+            ["engine", "wall (s)", "rounds", "rebuilt", "window probes",
+             "probes skipped", "jobs/h"],
             rows,
             title=f"metasched scale: {JOBS}-job stream / {HOSTS} hosts"))
         print(f"fast engine speedup: {ref_wall / fast_wall:.1f}x")
@@ -119,25 +120,30 @@ class TestMetaschedScale:
         assert (fast.summary()["throughput_jobs_per_hour"]
                 >= MIN_THROUGHPUT)
 
-    def test_fast_engine_actually_replans_incrementally(self,
-                                                        stream_results):
+    def test_fast_engine_plans_on_the_profile(self, stream_results):
         fast, _fw, ref, _rw = stream_results
-        assert fast.counters["meta_plan_kept"] > 0
         assert fast.counters["meta_plan_estimate_memo_hits"] > 0
-        assert ref.counters["meta_plan_kept"] == 0
-        # The sweep rework pays: the measured stream settles around
-        # ~40 feasibility probes per (job, host); hold the line well
-        # under the pre-overhaul count (~550 per job-host pair).
+        assert ref.counters["meta_plan_estimate_memo_hits"] == 0
+        # Most backlogged jobs are ruled out by the profile's free-host
+        # bound without a probe, and a window search walks a few
+        # candidate starts: the measured stream probes ~134k starts,
+        # about 2 per (job, host) pair.
+        assert (fast.counters["meta_plan_probes_skipped"]
+                > fast.counters["meta_plan_window_probes"])
         assert (fast.counters["meta_plan_window_probes"]
-                < 100 * JOBS * HOSTS)
+                < 10 * JOBS * HOSTS)
 
     def test_write_artifact(self, stream_results):
         fast, fast_wall, ref, ref_wall = stream_results
+        ARTIFACT.parent.mkdir(exist_ok=True)
         ARTIFACT.write_text(json.dumps({
             "params": {**STREAM, "min_speedup": MIN_SPEEDUP},
             "fast_wall_seconds": fast_wall,
             "reference_wall_seconds": ref_wall,
             "speedup": ref_wall / fast_wall,
+            "fast_meta_plan": {name: value
+                               for name, value in fast.counters.items()
+                               if name.startswith("meta_plan_")},
             "fast_counters": fast.counters,
             "reference_counters": ref.counters,
             "summary": fast.summary(),

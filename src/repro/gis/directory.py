@@ -56,12 +56,16 @@ class GridInformationService:
     def __init__(self) -> None:
         self._records: Dict[str, ResourceRecord] = {}
         self._hosts: Dict[str, Host] = {}
+        #: bumped by every (un)registration, so clients may memoize
+        #: query results until the registry changes
+        self.version = 0
 
     # -- registration ---------------------------------------------------------
     def register_host(self, host: Host) -> ResourceRecord:
         record = ResourceRecord.from_host(host)
         self._records[record.name] = record
         self._hosts[record.name] = host
+        self.version += 1
         return record
 
     def register_grid(self, grid: Grid) -> None:
@@ -74,6 +78,7 @@ class GridInformationService:
             raise GISError(f"unknown resource {name!r}")
         del self._records[name]
         del self._hosts[name]
+        self.version += 1
 
     # -- lookups ----------------------------------------------------------------
     def lookup(self, name: str) -> ResourceRecord:

@@ -16,9 +16,10 @@ entries can never be admitted onto (the churn tests pin this).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..gis.directory import GISError, GridInformationService
+from ..gis.directory import GridInformationService
+from ..microgrid.host import Host
 from ..nws.service import NetworkWeatherService
 from .jobs import JobSpec
 
@@ -44,22 +45,25 @@ class AdmissionController:
         self.max_queue = max_queue
         self.max_per_user = max_per_user
         self.min_forecast = min_forecast
+        #: isa -> (GIS version, [(name, host)] in preference order)
+        self._ranked: Dict[Optional[str],
+                           Tuple[int, List[Tuple[str, Host]]]] = {}
 
     # -- live resource state ------------------------------------------------
     def usable_hosts(self, spec: JobSpec) -> List[str]:
         """Names of registered, alive hosts matching the spec, ordered
-        fastest-first (then by name) — the planner's preference order."""
-        records = self.gis.query(isa=spec.isa)
-        usable = []
-        for record in records:
-            try:
-                host = self.gis.host(record.name)
-            except GISError:
-                continue  # unregistered between query and resolve
-            if host.alive:
-                usable.append(record)
-        usable.sort(key=lambda r: (-r.mflops, r.name))
-        return [r.name for r in usable]
+        fastest-first (then by name) — the planner's preference order.
+        The ranking is kept until the GIS registry changes; liveness is
+        read on every call."""
+        cached = self._ranked.get(spec.isa)
+        if cached is None or cached[0] != self.gis.version:
+            # query() is in name order and the sort is stable
+            records = sorted(self.gis.query(isa=spec.isa),
+                             key=lambda r: -r.mflops)
+            cached = self._ranked[spec.isa] = (
+                self.gis.version,
+                [(r.name, self.gis.host(r.name)) for r in records])
+        return [name for name, host in cached[1] if host.alive]
 
     # -- the admission rule ---------------------------------------------------
     def admit(self, spec: JobSpec, queue_length: int,

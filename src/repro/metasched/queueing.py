@@ -66,11 +66,6 @@ class FairShareQueue:
         self.usage[user] = self.usage.get(user, 0.0) + cpu_seconds
         self._order_cache = None
 
-    def _key(self, seq: int, spec: JobSpec, now: float, scale: float):
-        share = self.usage.get(spec.user, 0.0) / scale
-        aging = self.aging_weight * max(now - spec.submit_time, 0.0)
-        return (share - aging - spec.priority, seq)
-
     def ordered(self, now: float) -> List[JobSpec]:
         """Queued specs in dispatch order at simulated time ``now``.
 
@@ -78,15 +73,20 @@ class FairShareQueue:
         aging credit grows at the same ``aging_weight`` rate, so the
         *relative* ranking is invariant in ``now`` while the entry set,
         priorities and usage table are unchanged — only push/remove/
-        charge can reorder, and each of those drops the cache.
+        charge can reorder, and each of those drops the cache.  A job's
+        key is ``(share - aging - priority, ticket)``.
         """
         cached = self._order_cache
         if cached is not None:
             return list(cached)
-        scale = max(max(self.usage.values(), default=0.0), 1.0)
-        ranked = sorted(self._entries,
-                        key=lambda entry: self._key(entry[0], entry[1],
-                                                    now, scale))
-        order = [spec for _seq, spec in ranked]
+        usage = self.usage
+        weight = self.aging_weight
+        scale = max(max(usage.values(), default=0.0), 1.0)
+        ranked = sorted(
+            (usage.get(spec.user, 0.0) / scale
+             - weight * max(now - spec.submit_time, 0.0) - spec.priority,
+             seq, spec)
+            for seq, spec in self._entries)
+        order = [spec for _key, _seq, spec in ranked]
         self._order_cache = order
         return list(order)

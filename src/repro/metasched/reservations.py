@@ -1,51 +1,37 @@
-"""Per-host advance-reservation calendars.
+"""Per-host advance-reservation calendars and the free-host profile.
 
-Each host owns a :class:`HostCalendar` of non-overlapping time
-intervals; a :class:`ReservationBook` aggregates the calendars of a
-whole testbed and answers the planning questions the metascheduler
-asks: "when is the earliest window in which ``n`` hosts are free for
-``duration`` seconds?" and "which hosts are spoken for during this
-interval?" (the latter is what keeps the rescheduler from migrating an
-application onto capacity another job has booked).
+Each host owns a :class:`HostCalendar` of non-overlapping intervals; a
+:class:`ReservationBook` aggregates a testbed's calendars and answers
+the metascheduler's questions: "when is the earliest window in which
+``n`` hosts are free for ``duration`` seconds?" and "which hosts are
+spoken for?" (which keeps the rescheduler off booked capacity).
 
-Invariants (DESIGN.md §9):
+Invariants (DESIGN.md §9.3): live intervals on one host never
+overlap; a **claim** records actual occupancy from job start to
+release, so ``audit()`` proves no two claims ever overlapped; and a
+claim held past its estimated ``end`` is busy until ``now + grace``.
 
-* intervals of unreleased reservations on one host never overlap —
-  :meth:`HostCalendar.reserve` refuses conflicting inserts, and
-  :meth:`ReservationBook.reserve_block` rolls back partial blocks;
-* a **claim** records actual occupancy: it starts when the job starts
-  and is truncated to the release instant when the job ends, so the
-  claim history is exactly the execution timeline.  ``audit()`` proves
-  no two claims ever overlapped on any host;
-* a claimed reservation whose estimated ``end`` has passed while the
-  job is still running occupies its hosts until released — planners
-  see an *effective* end pushed ``grace`` seconds past "now", which
-  bounds how often an overrun forces a re-plan.
-
-The planning hot path (DESIGN.md §9.6) is incremental: a calendar
-keeps its reservations bisect-sorted by start, so a conflict check or
-an insert costs O(log R) neighbour comparisons instead of a linear
-scan plus a full re-sort, and the *effective ends* (overrunning claims
-pushed ``grace`` past now) are computed once per (now, grace, state)
-and shared by :meth:`HostCalendar.busy_during` /
-:meth:`HostCalendar.horizon_times`.  :meth:`ReservationBook.find_window`
-sweeps one merged, tolerance-deduplicated list of per-host event
-points instead of re-scanning every calendar at every candidate start.
-The pre-overhaul linear algorithms are the oracle in
+Planning (DESIGN.md §9.6) reads the book's :class:`FreeHostProfile`, a
+step function of occupied hosts over time that ``reserve``, ``claim``
+and ``release`` keep current.  The linear algorithms are the oracle in
 :mod:`repro.oracles.planner`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import accumulate
+from operator import or_
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover — typing-only import
     from ..sim.stats import KernelStats
 
 __all__ = ["Reservation", "ReservationConflict", "HostCalendar",
-           "ReservationBook"]
+           "FreeHostProfile", "ReservationBook"]
 
 #: slack when comparing simulated times (floats accumulated over events)
 _EPS = 1e-9
@@ -83,12 +69,8 @@ class Reservation:
 
 
 def _dedup_times(times: List[float]) -> List[float]:
-    """Sort and collapse instants within ``_EPS`` of each other.
-
-    Floats that differ by accumulated event noise are one candidate
-    start, not several; keeping them distinct made ``find_window``
-    re-scan every host for starts that cannot differ observably.
-    """
+    """Sort and collapse instants within ``_EPS`` of each other: floats
+    that differ by accumulated event noise are one candidate start."""
     times.sort()
     out = [times[0]]
     for t in times[1:]:
@@ -106,111 +88,61 @@ class HostCalendar:
         self._active: List[Reservation] = []
         #: parallel array of starts — the bisect index over ``_active``
         self._starts: List[float] = []
-        #: actual ends of claimed reservations (overrun detection)
-        self._claim_ends: List[float] = []
-        #: monotone edit counter; any mutation bumps it (cache keys)
-        self.mutations = 0
+        #: running maximum of the ``_active`` ends, rebuilt lazily
+        self._max_ends: Optional[List[float]] = None
         #: shared with the owning book (see ReservationBook.calendar) so
         #: the book-wide version stamp is O(1) instead of a sum over hosts
         self.version_cell = [0]
+        #: the owning book's profile, told of every live-interval edit
+        self.profile: Optional[FreeHostProfile] = None
         #: released claims, as (job, start, release_time) — the audit log
         self.claim_history: List[Tuple[str, float, float]] = []
-        #: memo for :meth:`_effective_ends`
-        self._eff_cache: Tuple[int, float, float, List[float]] = (
-            -1, 0.0, 0.0, [])
-        #: memo for :meth:`first_live` — (mutations, now, index)
-        self._live_cache: Tuple[int, float, int] = (-1, 0.0, 0)
 
     # -- queries -----------------------------------------------------------
     def active(self) -> List[Reservation]:
         return list(self._active)
 
     def has_overrun(self, now: float) -> bool:
-        """Does any claimed reservation's estimate end at/before now?
+        """Is a claim still held at/after its estimated end?  Its
+        effective end then moves with ``now`` (``now + grace``)."""
+        return any(resv.state == CLAIMED and resv.end <= now + _EPS
+                   for resv in self._active)
 
-        While an overrun exists, effective ends move with ``now`` and
-        window decisions stop being time-invariant — the fast planner
-        falls back to a full re-plan (DESIGN.md §9.6).
-        """
-        if not self._claim_ends:
-            return False
-        return self._claim_ends[0] <= now + _EPS
-
-    def _effective_ends(self, now: float, grace: float) -> List[float]:
-        """Effective end per live reservation, in start order.
-
-        An overrunning claim (still running past its estimate) blocks
-        until ``now + grace``.  Cached per (state, now, grace): one
-        planning round asks for the same horizon many times.
-        """
-        key = (self.mutations, now, grace)
-        cached = self._eff_cache
-        if cached[:3] == key:
-            return cached[3]
+    def horizon_times(self, now: float, grace: float) -> List[float]:
+        """Effective end per live reservation, in start order — the
+        candidate window starts (an overrunning claim's is
+        ``now + grace``)."""
         horizon = now + grace
-        out = []
-        for resv in self._active:
-            r_end = resv.end
-            if resv.state == CLAIMED and r_end <= now + _EPS:
-                r_end = horizon
-            out.append(r_end)
-        self._eff_cache = (self.mutations, now, grace, out)
-        return out
+        return [horizon if resv.state == CLAIMED and resv.end <= now + _EPS
+                else resv.end for resv in self._active]
 
     def busy_during(self, start: float, end: float,
                     now: float, grace: float) -> bool:
-        """Is any live reservation in the way of ``[start, end)``?
-
-        A claimed reservation that has outlived its estimate (the job is
-        still running past ``end``) blocks until ``now + grace``: the
-        planner re-checks at that horizon instead of busy-waiting.
-
-        O(log R) bisect on the start-sorted array when no claim is
-        overrunning; with an overrun in play, effective ends are no
-        longer monotone and every live reservation is scanned instead.
-        """
+        """Is any live reservation in the way of ``[start, end)``?  A
+        claim that outlived its estimate blocks until ``now + grace``.
+        Exact: of the reservations starting before ``end - _EPS`` (a
+        prefix by start), one is in the way iff the latest-ending is."""
         if self.has_overrun(now):
-            ends = self._effective_ends(now, grace)
-            for resv, r_end in zip(self._active, ends):
-                if resv.start < end - _EPS and start < r_end - _EPS:
-                    return True
+            return any(resv.start < end - _EPS and start < r_end - _EPS
+                       for resv, r_end in zip(
+                           self._active, self.horizon_times(now, grace)))
+        return self._blocks(start, end)
+
+    def _blocks(self, start: float, end: float) -> bool:
+        """:meth:`busy_during` for a host without an overrunning claim."""
+        k = bisect_left(self._starts, end - _EPS)
+        if not k:
             return False
-        # Non-overlapping intervals sorted by start have (eps-)monotone
-        # ends, so the only candidate is the last start before `end`.
-        pos = bisect_left(self._starts, end - _EPS)
-        return pos > 0 and start < self._active[pos - 1].end - _EPS
-
-    def first_live(self, now: float) -> int:
-        """Index of the first reservation whose end is past ``now`` —
-        the only ones that can block an interval starting there.
-
-        With no overrunning claim (callers check :meth:`has_overrun`),
-        non-overlapping start-sorted intervals have (eps-)monotone
-        ends, so ``[now, end)`` is busy iff
-        ``_starts[first_live(now)] < end - _EPS`` — which turns the
-        per-(host, job) probes of one planning round (all sharing
-        ``start = now``) into two comparisons after one cached bisect.
-        """
-        key = (self.mutations, now)
-        cached = self._live_cache
-        if cached[:2] == key:
-            return cached[2]
-        lo, hi = 0, len(self._active)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._active[mid].end > now + _EPS:
-                hi = mid
-            else:
-                lo = mid + 1
-        self._live_cache = (self.mutations, now, lo)
-        return lo
-
-    def horizon_times(self, now: float, grace: float) -> List[float]:
-        """Candidate window-start instants: each live reservation's
-        effective end (overrunning claims push ``grace`` past now)."""
-        return list(self._effective_ends(now, grace))
+        if self._max_ends is None:
+            self._max_ends = list(accumulate(
+                (resv.end for resv in self._active), max))
+        return start < self._max_ends[k - 1] - _EPS
 
     # -- mutation ----------------------------------------------------------
+    def _touch(self) -> None:
+        self.version_cell[0] += 1
+        self._max_ends = None
+
     def _index_of(self, resv: Reservation) -> int:
         """Position of ``resv`` in the sorted arrays (identity match)."""
         i = bisect_left(self._starts, resv.start)
@@ -222,49 +154,55 @@ class HostCalendar:
             i += 1
         raise ValueError("reservation does not belong to this calendar")
 
-    def reserve(self, job: str, start: float, end: float) -> Reservation:
-        """Book ``[start, end)``; raises :class:`ReservationConflict`.
-
-        Non-overlap means only the bisect neighbours can conflict, so
-        the check is O(log R) instead of a scan of every reservation.
-        """
-        start = float(start)
-        end = float(end)
-        if end <= start:
-            raise ValueError(f"empty reservation [{start}, {end})")
-        i = bisect_right(self._starts, start)
-        if i > 0 and self._active[i - 1].overlaps(start, end):
-            raise ReservationConflict(
-                f"{self.host}: [{start:.1f}, {end:.1f}) for {job} "
-                f"overlaps {self._active[i - 1]!r}")
-        if i < len(self._active) and self._active[i].overlaps(start, end):
-            raise ReservationConflict(
-                f"{self.host}: [{start:.1f}, {end:.1f}) for {job} "
-                f"overlaps {self._active[i]!r}")
+    def _insert(self, job: str, start: float, end: float) -> Reservation:
+        """:meth:`reserve` without telling the profile."""
         resv = Reservation(job, self.host, start, end)
+        # Non-overlap means only the bisect neighbours can conflict.
+        i = bisect_right(self._starts, resv.start)
+        for other in self._active[max(i - 1, 0):i + 1]:
+            if other.overlaps(resv.start, resv.end):
+                raise ReservationConflict(
+                    f"{self.host}: [{resv.start:.1f}, {resv.end:.1f}) for "
+                    f"{job} overlaps {other!r}")
         self._active.insert(i, resv)
-        self._starts.insert(i, start)
-        self.mutations += 1
-        self.version_cell[0] += 1
+        self._starts.insert(i, resv.start)
+        self._touch()
+        return resv
+
+    def _remove(self, resv: Reservation, now: float) -> None:
+        """:meth:`release` without telling the profile."""
+        i = self._index_of(resv)
+        del self._active[i], self._starts[i]
+        if resv.state == CLAIMED:
+            resv.end = max(now, resv.start + _EPS)
+            self.claim_history.append((resv.job, resv.start, resv.end))
+        resv.state = RELEASED
+        self._touch()
+
+    def reserve(self, job: str, start: float, end: float) -> Reservation:
+        """Book ``[start, end)``; raises :class:`ReservationConflict`."""
+        resv = self._insert(job, start, end)
+        if self.profile is not None:
+            self.profile.enter([resv])
         return resv
 
     def claim(self, resv: Reservation, now: float) -> None:
         """Mark a reservation as actually occupied from ``now`` on."""
         if resv.state != RESERVED:
             raise ValueError(f"cannot claim a {resv.state} reservation")
+        # Backdating can change the sort position: re-insert.
         i = self._index_of(resv)
-        if now < resv.start:
-            # Backdating can change the sort position: re-insert.
-            del self._active[i]
-            del self._starts[i]
-            resv.start = now
-            i = bisect_right(self._starts, resv.start)
-            self._active.insert(i, resv)
-            self._starts.insert(i, resv.start)
+        del self._active[i], self._starts[i]
+        if self.profile is not None:
+            self.profile.leave([resv], resv.start, resv.end, True)
+        resv.start = min(resv.start, now)
         resv.state = CLAIMED
-        insort(self._claim_ends, resv.end)
-        self.mutations += 1
-        self.version_cell[0] += 1
+        i = bisect_right(self._starts, resv.start)
+        self._active.insert(i, resv)
+        self._starts.insert(i, resv.start)
+        if self.profile is not None:
+            self.profile.enter([resv])
+        self._touch()
 
     def release(self, resv: Reservation, now: float) -> None:
         """End a reservation.  Claims are truncated/extended to the
@@ -272,17 +210,10 @@ class HostCalendar:
         un-started reservations are simply cancelled."""
         if resv.state == RELEASED:
             raise ValueError("reservation already released")
-        i = self._index_of(resv)
-        del self._active[i]
-        del self._starts[i]
-        if resv.state == CLAIMED:
-            j = bisect_left(self._claim_ends, resv.end)
-            del self._claim_ends[j]
-            resv.end = max(now, resv.start + _EPS)
-            self.claim_history.append((resv.job, resv.start, resv.end))
-        resv.state = RELEASED
-        self.mutations += 1
-        self.version_cell[0] += 1
+        start, end, state = resv.start, resv.end, resv.state
+        self._remove(resv, now)
+        if self.profile is not None:
+            self.profile.leave([resv], start, end, state == RESERVED)
 
     def audit(self) -> List[str]:
         """Overlap violations among all claims, past and present."""
@@ -301,6 +232,105 @@ class HostCalendar:
         return problems
 
 
+class FreeHostProfile:
+    """Which hosts are occupied over time, as a step function.
+
+    ``times`` holds each distinct start and end of a live reservation,
+    ``refs[j]`` the number of interval edges at ``times[j]``, and
+    ``busy[j]`` the bitmask of hosts holding a live reservation over
+    ``[times[j], times[j + 1])`` (the last segment is empty); a
+    breakpoint is deleted when its last edge leaves.  Two sorted
+    indexes ride along: live reservations by end and unclaimed ones by
+    start.  Edits take a block of reservations sharing one interval.
+    """
+
+    def __init__(self, calendars: Dict[str, HostCalendar]) -> None:
+        self.calendars = calendars
+        #: host name -> its bit in every mask
+        self.bits: Dict[str, int] = {}
+        self.times: List[float] = []
+        self.busy: List[int] = []
+        self.refs: List[int] = []
+        self.ends: List[float] = []
+        self.end_resvs: List[Reservation] = []
+        self.reserved_starts: List[float] = []
+
+    def _edge(self, at: float, count: int) -> int:
+        """Index of breakpoint ``at``, inserted if new; adds edges."""
+        i = bisect_left(self.times, at)
+        if i < len(self.times) and self.times[i] == at:
+            self.refs[i] += count
+        else:
+            self.times.insert(i, at)
+            self.busy.insert(i, self.busy[i - 1] if i else 0)
+            self.refs.insert(i, count)
+        return i
+
+    def _drop_edges(self, i: int, count: int) -> None:
+        self.refs[i] -= count
+        if not self.refs[i]:
+            del self.times[i], self.busy[i], self.refs[i]
+
+    def enter(self, block: List[Reservation]) -> None:
+        """Add live reservations sharing one interval and state."""
+        start, end, n = block[0].start, block[0].end, len(block)
+        mask = 0
+        for resv in block:
+            mask |= self.bits[resv.host]
+        busy = self.busy
+        for j in range(self._edge(start, n), self._edge(end, n)):
+            busy[j] |= mask
+        i = bisect_right(self.ends, end)
+        self.ends[i:i] = [end] * n
+        self.end_resvs[i:i] = block
+        if block[0].state == RESERVED:
+            i = bisect_right(self.reserved_starts, start)
+            self.reserved_starts[i:i] = [start] * n
+
+    def leave(self, block: List[Reservation], start: float, end: float,
+              reserved: bool) -> None:
+        """Remove reservations entered over ``[start, end)`` (unclaimed
+        if ``reserved``) once gone from their calendars; a host's other
+        bookings (which may overlap by ``_EPS``) set their bits again."""
+        times, busy, n = self.times, self.busy, len(block)
+        i = bisect_left(times, start)
+        k = bisect_left(times, end, i)
+        keep = ~reduce(or_, (self.bits[resv.host] for resv in block))
+        for j in range(i, k):
+            busy[j] &= keep
+        for resv in block:
+            bit = self.bits[resv.host]
+            for other in self.calendars[resv.host]._active:
+                if other.start < end and start < other.end:
+                    lo = bisect_left(times, max(other.start, start), i, k)
+                    for j in range(lo, bisect_left(
+                            times, min(other.end, end), lo, k)):
+                        busy[j] |= bit
+        self._drop_edges(k, n)
+        self._drop_edges(i, n)
+        for resv in block:
+            i = bisect_left(self.ends, end)
+            while self.end_resvs[i] is not resv:
+                i += 1
+            del self.ends[i], self.end_resvs[i]
+        if reserved:
+            i = bisect_left(self.reserved_starts, start)
+            del self.reserved_starts[i:i + n]
+
+    def occupied(self, start: float, end_m: float) -> int:
+        """Hosts certainly busy over a window from ``start`` whose end
+        less ``_EPS`` is ``end_m``: the OR of every segment with
+        ``times[j] < end_m`` and ``times[j + 1] - _EPS > start``, which
+        lies inside reservations that are in the way.  Breakpoints
+        within ``_EPS`` of the window can hide a busy host."""
+        times = self.times
+        stop = min(bisect_left(times, end_m), len(times) - 1)
+        first = max(bisect_right(times, start) - 1, 0)
+        while first < stop and times[first + 1] - _EPS <= start:
+            first += 1
+        return reduce(or_, self.busy[first:stop], 0)
+
+
 class ReservationBook:
     """The calendars of every host the metascheduler may book."""
 
@@ -308,48 +338,41 @@ class ReservationBook:
         #: one shared edit counter: every calendar mutation bumps it
         self._vcell = [0]
         self._calendars: Dict[str, HostCalendar] = {}
+        self.profile = FreeHostProfile(self._calendars)
         for name in hosts:
             self.calendar(name)
         #: optional :class:`~repro.sim.stats.KernelStats` sink for the
         #: ``meta_plan_window_probes`` counter (set by the service)
         self.stats: Optional[KernelStats] = None
-        #: memo for :meth:`has_overrun` — ((version, now), bool)
-        self._overrun_cache: Optional[Tuple[Tuple[int, float], bool]] = None
-        #: memo for :meth:`_now_gaps` — (version, now, cands, gaps, ranked)
-        self._gap_cache: Optional[Tuple[int, float, Tuple[str, ...],
-                                        List[float], List[float]]] = None
+        #: (last candidate sequence, its :meth:`_candidates` answer)
+        self._cand_cache: Optional[Tuple[tuple, tuple]] = None
+        #: (key, :meth:`_overruns` answer)
+        self._overrun_cache: Optional[tuple] = None
 
     def calendar(self, host: str) -> HostCalendar:
         cal = self._calendars.get(host)
         if cal is None:
             cal = self._calendars[host] = HostCalendar(host)
             cal.version_cell = self._vcell
+            cal.profile = self.profile
+            self.profile.bits[host] = 1 << len(self.profile.bits)
         return cal
 
     def hosts(self) -> List[str]:
         return sorted(self._calendars)
 
     def version(self) -> int:
-        """Monotone edit stamp over every calendar, O(1).
-
-        The fast planner snapshots this at the end of a round; a
-        mismatch at the next round means occupancy changed outside its
-        own planning (a claim, a release, a foreign booking) and kept
-        reservations can no longer be proven identical to a rebuild.
-        """
+        """Monotone edit stamp over every calendar, O(1): any reserve,
+        claim or release anywhere moves it (it keys the overrun cache)."""
         return self._vcell[0]
 
-    def has_overrun(self, now: float) -> bool:
-        """Any overrunning claim anywhere (see HostCalendar.has_overrun).
-        Cached per (version, now) — planning probes ask per job."""
-        key = (self._vcell[0], now)
-        cached = self._overrun_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        val = any(cal.has_overrun(now)
-                  for cal in self._calendars.values())
-        self._overrun_cache = (key, val)
-        return val
+    def next_reserved_start(self, after: float) -> Optional[float]:
+        """Earliest start of an unclaimed reservation later than
+        ``after`` — after a planning round, the earliest booking that
+        round made."""
+        starts = self.profile.reserved_starts
+        i = bisect_right(starts, after)
+        return starts[i] if i < len(starts) else None
 
     # -- block operations --------------------------------------------------
     def reserve_block(self, job: str, hosts: Sequence[str], start: float,
@@ -358,11 +381,13 @@ class ReservationBook:
         made: List[Reservation] = []
         try:
             for host in hosts:
-                made.append(self.calendar(host).reserve(job, start, end))
+                made.append(self.calendar(host)._insert(job, start, end))
         except ReservationConflict:
             for resv in made:
-                self.calendar(resv.host).release(resv, start)
+                self.calendar(resv.host)._remove(resv, start)
             raise
+        if made:
+            self.profile.enter(made)
         return made
 
     def claim_block(self, reservations: Sequence[Reservation],
@@ -372,21 +397,96 @@ class ReservationBook:
 
     def release_block(self, reservations: Sequence[Reservation],
                       now: float) -> None:
-        for resv in reservations:
-            if resv.state != RELEASED:
+        """Release every live reservation: in one profile pass when they
+        share an interval and state, as a job's block does."""
+        live = [resv for resv in reservations if resv.state != RELEASED]
+        if not live:
+            return
+        key = (live[0].start, live[0].end, live[0].state)
+        if any((resv.start, resv.end, resv.state) != key for resv in live):
+            for resv in live:
                 self.calendar(resv.host).release(resv, now)
+            return
+        for resv in live:
+            self.calendar(resv.host)._remove(resv, now)
+        self.profile.leave(live, key[0], key[1], key[2] == RESERVED)
 
     # -- planning ----------------------------------------------------------
-    def _candidate_times(self, not_before: float, candidates: Sequence[str],
-                         now: float, grace: float) -> List[float]:
-        """Merged, eps-deduplicated window-start candidates: ``not_before``
-        plus every later effective reservation end on any candidate."""
-        times = [not_before]
-        for host in candidates:
-            for t in self.calendar(host)._effective_ends(now, grace):
-                if t > not_before + _EPS:
-                    times.append(t)
-        return _dedup_times(times)
+    def _candidates(self, candidates: Sequence[str]) -> tuple:
+        """``(host mask, [(host, bit, calendar)] in preference order)``;
+        kept for the last candidate sequence, which a round passes many
+        times."""
+        cached = self._cand_cache
+        if cached is not None and (cached[0] is candidates
+                                   or cached[0] == tuple(candidates)):
+            return cached[1]
+        cals = [self.calendar(host) for host in candidates]
+        entries = [(cal.host, self.profile.bits[cal.host], cal)
+                   for cal in cals]
+        info = (reduce(or_, (e[1] for e in entries), 0), entries)
+        self._cand_cache = (tuple(candidates), info)
+        return info
+
+    def _overruns(self, now: float, grace: float) -> tuple:
+        """The claims overrunning at ``now`` (estimate ended at or
+        before it; each busy until ``now + grace``) as ``(mask, latest
+        start, latest end - _EPS, [(start, end - _EPS, bit)], horizon -
+        _EPS)``, cached per (book version, now, grace)."""
+        key = (self._vcell[0], now, grace)
+        if self._overrun_cache is not None and self._overrun_cache[0] == key:
+            return self._overrun_cache[1]
+        profile = self.profile
+        k = bisect_right(profile.ends, now + _EPS)
+        claims = [(resv.start, resv.end - _EPS, profile.bits[resv.host])
+                  for resv in profile.end_resvs[:k] if resv.state == CLAIMED]
+        state = (reduce(or_, (c[2] for c in claims), 0),
+                 max((c[0] for c in claims), default=-math.inf),
+                 max((c[1] for c in claims), default=-math.inf),
+                 claims, (now + grace) - _EPS)
+        self._overrun_cache = (key, state)
+        return state
+
+    def _occupied(self, start: float, end_m: float, overruns: tuple) -> int:
+        """:meth:`FreeHostProfile.occupied` with overrunning claims busy
+        until the horizon; a host whose bit may come from a claim's
+        passed estimate is left to the exact test."""
+        occupied = self.profile.occupied(start, end_m)
+        mask, latest_start, latest_end_m, claims, horizon_m = overruns
+        if mask:
+            if start < latest_end_m:
+                for _c_start, c_end_m, bit in claims:
+                    if start < c_end_m:
+                        occupied &= ~bit
+            if start < horizon_m:
+                if latest_start < end_m:
+                    occupied |= mask
+                else:
+                    for c_start, _c_end_m, bit in claims:
+                        if c_start < end_m:
+                            occupied |= bit
+        return occupied
+
+    def _free_at(self, start: float, duration: float, n_hosts: int,
+                 cands: tuple, overruns: tuple, now: float, grace: float
+                 ) -> Optional[List[str]]:
+        """The first ``n_hosts`` candidates free over ``[start, start +
+        duration)``, or ``None``: the masks rule hosts out, and the
+        survivors are confirmed in preference order by the exact test."""
+        end = start + duration
+        cmask, entries = cands
+        free = cmask & ~self._occupied(start, end - _EPS, overruns)
+        if free.bit_count() < n_hosts:
+            return None
+        picked: List[str] = []
+        for host, bit, cal in entries:
+            if not free & bit:
+                continue
+            if not (cal.busy_during(start, end, now, grace)
+                    if bit & overruns[0] else cal._blocks(start, end)):
+                picked.append(host)
+                if len(picked) == n_hosts:
+                    return picked
+        return None
 
     def find_window(self, n_hosts: int, duration: float, not_before: float,
                     candidates: Sequence[str], now: float,
@@ -394,145 +494,81 @@ class ReservationBook:
                     ) -> Optional[Tuple[float, List[str]]]:
         """Earliest ``(start, hosts)`` where ``n_hosts`` of the candidate
         list (tried in the given preference order) are simultaneously
-        free for ``duration`` seconds.  ``None`` when no finite window
-        exists (never happens while calendars hold finite intervals).
-
-        One merged sweep: the candidate starts of every host calendar
-        are collected once (deduplicated within ``_EPS``), and each
-        (start, host) feasibility probe is an O(log R) bisect.  The
-        result is identical to the linear oracle
-        :func:`repro.oracles.planner.find_window_reference` — the
-        equivalence suite asserts it.
-        """
+        free for ``duration`` seconds, or ``None``.  Candidate starts
+        are ``not_before`` and every later effective end of a
+        reservation on a candidate host, eps-merged; the walk stops at
+        the first that fits.  Equal to
+        :func:`repro.oracles.planner.find_window_reference`."""
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        times = self._candidate_times(not_before, candidates, now, grace)
-        # Monotone pointer sweep: candidate starts ascend, and a host
-        # with no overrunning claim has both its start and end arrays
-        # sorted — so one per-host cursor to its first still-live
-        # reservation advances monotonically across the whole sweep,
-        # making each (start, host) feasibility probe O(1) amortized.
-        # Overrun is a per-host condition (only that host's effective
-        # ends are rewritten to now + grace and stop being monotone),
-        # so only the few overrunning hosts fall back to the linear
-        # scan in busy_during per probe.
-        cals = [self._calendars[host] for host in candidates]
-        overrun = [cal.has_overrun(now) for cal in cals]
-        starts_arrs = [cal._starts for cal in cals]
-        ends_arrs = [cal._effective_ends(now, grace) for cal in cals]
-        ptrs = [0] * len(cals)
-        probes = 0
-        try:
-            for start in times:
-                free: List[str] = []
-                end = start + duration
-                for i, host in enumerate(candidates):
-                    probes += 1
-                    if overrun[i]:
-                        if cals[i].busy_during(start, end, now, grace):
-                            continue
-                    else:
-                        ends = ends_arrs[i]
-                        p = ptrs[i]
-                        while p < len(ends) and ends[p] <= start + _EPS:
-                            p += 1
-                        ptrs[i] = p
-                        starts = starts_arrs[i]
-                        if p < len(starts) and starts[p] < end - _EPS:
-                            continue
-                    free.append(host)
-                    if len(free) == n_hosts:
-                        return start, free
-            return None
-        finally:
+        cands = self._candidates(candidates)
+        cmask = cands[0]
+        bits = self.profile.bits
+        overruns = self._overruns(now, grace)
+        # An overrunning claim on a candidate ends, in effect, at the
+        # grace horizon instead of its passed estimate.
+        horizon = now + grace
+        pending_horizon = bool(overruns[0] & cmask)
+        ends, end_resvs = self.profile.ends, self.profile.end_resvs
+        i = bisect_right(ends, not_before + _EPS)
+        now_eps = now + _EPS
+        start = not_before
+        while True:
             if self.stats is not None:
-                self.stats.meta_plan_window_probes += probes
+                self.stats.meta_plan_window_probes += 1
+            hosts = self._free_at(start, duration, n_hosts, cands,
+                                  overruns, now, grace)
+            if hosts is not None:
+                return start, hosts
+            floor = start + _EPS
+            while i < len(ends):
+                resv = end_resvs[i]
+                if (ends[i] > floor and bits[resv.host] & cmask
+                        and not (resv.state == CLAIMED
+                                 and resv.end <= now_eps)):
+                    break
+                i += 1
+            start = ends[i] if i < len(ends) else math.inf
+            if pending_horizon and floor < horizon <= start:
+                start = horizon
+                pending_horizon = False
+            if start == math.inf:
+                return None
 
     def free_now(self, n_hosts: int, duration: float,
                  candidates: Sequence[str], now: float,
                  grace: float = 30.0) -> Optional[List[str]]:
-        """First ``n_hosts`` candidates (preference order) free for
-        ``[now, now + duration)``, or ``None`` if fewer are free.
-
-        Exactly the first iteration of the :meth:`find_window` sweep
-        (the ``start = not_before = now`` probe): when a job's only
-        observable decision is "start immediately or stay blocked" —
-        a backfill candidate behind a full reservation depth — this
-        answers it without sweeping any later windows.
-        """
+        """First ``n_hosts`` candidates free for ``[now, now +
+        duration)``, or ``None``: the first probe of
+        :meth:`find_window` from ``now``."""
         if n_hosts < 1 or n_hosts > len(candidates):
             return None
-        # All of one round's probes share start = now, so each host's
-        # availability collapses to one number: the gap until its first
-        # live reservation begins (zero on a host whose claim is
-        # overrunning — it is occupied *at* now for any duration).
-        # Computed once per (version, now, candidate set); the
-        # descending-ranked copy answers the common backlogged case —
-        # "no n-host window exists right now" — in one comparison.
-        gaps, ranked = self._now_gaps(candidates, now)
-        stats = self.stats
-        threshold = duration - _EPS
-        if ranked[n_hosts - 1] < threshold:
-            if stats is not None:
-                stats.meta_plan_window_probes += 1
-            return None
-        probes = 0
-        free: List[str] = []
-        for host, gap in zip(candidates, gaps):
-            probes += 1
-            if gap >= threshold:
-                free.append(host)
-                if len(free) == n_hosts:
-                    break
-        if stats is not None:
-            stats.meta_plan_window_probes += probes
-        return free
+        if self.stats is not None:
+            self.stats.meta_plan_window_probes += 1
+        return self._free_at(now, duration, n_hosts,
+                             self._candidates(candidates),
+                             self._overruns(now, grace), now, grace)
 
-    def _now_gaps(self, candidates: Sequence[str], now: float
-                  ) -> Tuple[List[float], List[float]]:
-        """Per-candidate free gap at ``now`` (preference order) plus a
-        descending-sorted copy.
+    def free_bound(self, now: float, min_duration: float,
+                   grace: float = 30.0) -> int:
+        """An upper bound on how many hosts :meth:`free_now` can return
+        at ``now`` for any candidates and any duration of at least
+        ``min_duration``: a longer window spans more segments, so the
+        profile's mask only grows."""
+        occupied = self._occupied(now, (now + min_duration) - _EPS,
+                                  self._overruns(now, grace))
+        return len(self._calendars) - occupied.bit_count()
 
-        A host whose own claim is overrunning has gap zero: the claim
-        occupies it from before ``now`` until ``now + grace``, so no
-        positive-duration window starts there.  Hosts without an
-        overrunning claim have monotone actual ends, so
-        :meth:`HostCalendar.first_live` applies.
-        """
-        cands = (candidates if isinstance(candidates, tuple)
-                 else tuple(candidates))
-        version = self._vcell[0]
-        cached = self._gap_cache
-        if (cached is not None and cached[0] == version
-                and cached[1] == now  # simlint: ignore[SL005] — exact cache-key match, not a tolerance decision
-                and (cached[2] is cands or cached[2] == cands)):
-            return cached[3], cached[4]
-        gaps: List[float] = []
-        for host in cands:
-            cal = self.calendar(host)
-            if cal.has_overrun(now):
-                gaps.append(0.0)
-                continue
-            k = cal.first_live(now)
-            if k == len(cal._starts):
-                gaps.append(math.inf)
-            else:
-                gaps.append(cal._starts[k] - now)
-        ranked = sorted(gaps, reverse=True)
-        self._gap_cache = (version, now, cands, gaps, ranked)
-        return gaps, ranked
-
-    def unavailable_hosts(self, start: float,
-                          end: float = math.inf) -> List[str]:
-        """Hosts with any live reservation overlapping ``[start, end)``
-        — the set a reservation-respecting rescheduler must avoid."""
-        out = []
-        for name in sorted(self._calendars):
-            for resv in self._calendars[name].active():
-                if resv.overlaps(start, end):
-                    out.append(name)
-                    break
-        return out
+    def unavailable_hosts(self, start: float, end: float = math.inf,
+                          grace: float = 30.0) -> List[str]:
+        """Hosts with any live reservation in the way of ``[start,
+        end)`` — the set a reservation-respecting rescheduler must
+        avoid.  ``start`` is taken as "now": a claim still held past
+        its estimate blocks its host until ``start + grace``, exactly
+        as the planner sees it (:meth:`HostCalendar.busy_during`)."""
+        return [name for name in sorted(self._calendars)
+                if self._calendars[name].busy_during(start, end, start,
+                                                     grace)]
 
     def audit(self) -> List[str]:
         """All claim-overlap violations across every host (must be [])."""

@@ -8,30 +8,27 @@ testbed.  Lifecycle per submission::
            -> place via the GrADS workflow scheduler -> execute
            -> release + fair-share charge
 
-Planning is a *rolling re-plan*: at every scheduling round (triggered
-by a submission, a completion, or a reservation's start time arriving)
-the un-started plan is brought up to date in fair-share order against
-live GIS/NWS state, while claims (running jobs) are immutable.  The
-head of the queue gets an advance reservation at the earliest window
-the calendars allow; lower-priority jobs may *backfill* — start
-immediately — only when their estimated run fits without delaying any
-reservation ahead of them.  Claims therefore never overlap by
-construction, and :meth:`MetaScheduler.audit_conflicts` re-proves it
-from the recorded claim history.
-
-Planning is a **delta re-plan** (DESIGN.md §9.6): the prefix of jobs
-whose planning inputs (queue position, candidate host set, estimate)
-are unchanged since the previous round *keep* their reservations, and
-the plan is rebuilt from the first changed position.  It must match the
-cancel-all/rebuild-all oracle in :mod:`repro.oracles.planner` byte for
-byte.
+Planning is a *rolling re-plan*: every scheduling round (a
+submission, a completion, or a reservation's start time arriving)
+cancels the un-started plan and rebuilds it in fair-share order
+against live GIS/NWS state, while claims (running jobs) are
+immutable.  The head of the queue gets an advance reservation at the
+earliest window the book's free-host profile allows (DESIGN.md §9.6);
+lower-priority jobs may *backfill* — start immediately — only when
+their estimated run fits without delaying any reservation ahead of
+them, and probing them stops once the profile shows too few free
+hosts.  Claims therefore never overlap by construction, and
+:meth:`MetaScheduler.audit_conflicts` re-proves it from the claim
+history.  The plan must match the linear oracle in
+:mod:`repro.oracles.planner` byte for byte.
 
 Everything the service does lands in the ``metasched`` trace lane
 (submit/queue/admit/reserve/backfill/start/complete/reject instants
 and one span per executed job) and in the always-on ``meta_*``
 counters of :class:`~repro.sim.stats.KernelStats`; the ``meta_plan_*``
-family (rounds, kept vs rebuilt reservations, window probes, estimate
-memo hits, scheduled wakes) exposes what the planner did.
+family (rounds, reservations booked, window starts probed, backlogged
+jobs skipped unprobed, estimate memo hits, scheduled wakes) exposes
+what the planner did.
 """
 
 from __future__ import annotations
@@ -60,10 +57,9 @@ _EPS = 1e-9
 #: terminal job states
 _TERMINAL = ("rejected", "completed", "failed")
 
-#: per-position plan-signature kinds (delta re-plan bookkeeping)
-_SIG_SKIP = "skip"    # candidate set smaller than n_hosts
-_SIG_RESV = "resv"    # holds a planned advance reservation
-_SIG_PROBE = "probe"  # behind a full reservation depth; not startable
+#: fixed launch allowance in every runtime estimate — so also the
+#: shortest window any job asks the planner for
+_STARTUP_SECONDS = 10.0
 
 
 @dataclass
@@ -82,8 +78,8 @@ class JobState:
     est_seconds: float = 0.0
     #: claims held while running
     claims: List[Reservation] = field(default_factory=list)
-    #: the current advance reservation (planning only; kept across
-    #: rounds while its planning inputs are unchanged)
+    #: the current advance reservation (planning only; rebuilt by
+    #: every round)
     planned: List[Reservation] = field(default_factory=list)
     #: last traced plan, to keep re-plans from spamming the trace
     last_plan: Optional[Tuple[float, Tuple[str, ...]]] = None
@@ -140,15 +136,10 @@ class MetaScheduler:
         self._n_terminal = 0
         #: start instants of armed-but-unfired wake callbacks, sorted
         self._pending_wakes: List[float] = []
-        # -- delta re-plan state (DESIGN.md §9.6) --
-        #: last round's per-position decisions: (name, candidates, kind, est)
-        self._plan_sig: List[Tuple[str, Tuple[str, ...], str, float]] = []
-        #: book.version() snapshot when that plan was recorded
-        self._plan_version: Optional[int] = None
-        #: interned candidate tuples per ISA (identity-comparable)
-        self._cand_intern: Dict[Optional[str], Tuple[str, ...]] = {}
-        #: (job, candidate-prefix) -> estimated seconds
-        self._est_memo: Dict[Tuple[str, Tuple[str, ...]], float] = {}
+        #: queued jobs holding an advance reservation from the last round
+        self._holding: List[JobState] = []
+        #: queued job -> (candidate prefix, estimated seconds)
+        self._est_memo: Dict[str, Tuple[Tuple[str, ...], float]] = {}
 
     # -- tracing ------------------------------------------------------------
     def _instant(self, name: str, **args) -> None:
@@ -212,126 +203,67 @@ class MetaScheduler:
         self._schedule_wake(now)
 
     def _plan(self, now: float, ordered: Sequence[JobSpec]) -> None:
-        """Delta re-plan from the dirty watermark."""
+        """Cancel every advance reservation, then re-plan in order."""
         stats = self.sim.stats
         book = self.book
-        round_cands: Dict[Optional[str], Tuple[str, ...]] = {}
-
-        def candidates(spec: JobSpec) -> Tuple[str, ...]:
-            """Usable hosts, resolved once per ISA per round and
-            interned across rounds so unchanged sets compare by
-            identity in the plan signature."""
-            got = round_cands.get(spec.isa)
-            if got is None:
-                fresh = tuple(self.admission.usable_hosts(spec))
-                last = self._cand_intern.get(spec.isa)
-                got = last if last == fresh else fresh
-                self._cand_intern[spec.isa] = got
-                round_cands[spec.isa] = got
-            return got
-
-        # A kept reservation must be provably identical to a rebuild:
-        # any occupancy edit outside our own planning (claim/release/
-        # foreign booking) or an overrunning claim (whose effective end
-        # moves with `now`) voids the proof — rebuild everything.
-        dirty = (self._plan_version is None
-                 or book.version() != self._plan_version
-                 or book.has_overrun(now))
-        sig = self._plan_sig
-        new_sig: List[Tuple[str, Tuple[str, ...], str, float]] = []
-        blocked = False
-        reservations_made = 0
-        idx = 0
-        if not dirty:
-            # Replay the unchanged prefix of last round's decisions.
-            while idx < len(ordered) and idx < len(sig):
-                spec = ordered[idx]
-                entry = sig[idx]
-                if entry[0] != spec.name or entry[1] is not candidates(spec):
-                    break  # dirty watermark: order or candidates changed
-                state = self.jobs[spec.name]
-                kind = entry[2]
-                if kind == _SIG_SKIP:
-                    blocked = True
-                    new_sig.append(entry)
-                    idx += 1
-                    continue
-                est = entry[3]
-                if kind == _SIG_RESV:
-                    start = state.planned[0].start
-                    if start > now + _EPS:
-                        blocked = True
-                        reservations_made += 1
-                        stats.meta_plan_kept += 1
-                        new_sig.append(entry)
-                        idx += 1
-                        continue
-                    # The reserved start has arrived: convert the
-                    # reservation into a start on the very hosts it
-                    # booked (what a rebuild would re-derive).
-                    hosts = [resv.host for resv in state.planned]
-                    book.release_block(state.planned, now)
-                    state.planned = []
-                    self._start_job(state, hosts, est, backfilled=blocked)
-                    idx += 1
-                    break  # depth accounting changed; rebuild the rest
-                # _SIG_PROBE: behind a full depth — start now or stay.
-                free = book.free_now(spec.n_hosts, est, entry[1], now,
-                                     self.grace_seconds)
-                if free is None:
-                    blocked = True
-                    new_sig.append(entry)
-                    idx += 1
-                    continue
-                self._start_job(state, free, est, backfilled=blocked)
-                idx += 1
-                break  # a new claim landed; rebuild the rest
-
-        # Cancel what was not kept, then re-plan from the watermark.
-        for spec in ordered[idx:]:
-            state = self.jobs[spec.name]
-            if state.planned and state.status == "queued":
+        grace = self.grace_seconds
+        for state in self._holding:
+            if state.planned:
                 book.release_block(state.planned, now)
                 state.planned = []
-        for spec in ordered[idx:]:
-            state = self.jobs[spec.name]
-            if state.status != "queued":
-                continue
-            cand = candidates(spec)
+        holding: List[JobState] = []
+        self._holding = holding
+        # usable hosts, resolved once per ISA per round
+        round_cands: Dict[Optional[str], Tuple[str, ...]] = {}
+        blocked = False
+        # hosts any job could get now, once the reservation depth is
+        # exhausted (no estimate is shorter than the startup allowance)
+        bound: Optional[int] = None
+        for pos, spec in enumerate(ordered):
+            backlog = len(holding) >= self.reserve_depth
+            if backlog:
+                # Only "start now or stay blocked" is left (``blocked``
+                # is set) and a failed probe changes nothing, so a job
+                # needing more hosts than the bound is skipped; at zero
+                # no remaining job can start.
+                if bound is None:
+                    bound = book.free_bound(now, _STARTUP_SECONDS, grace)
+                if spec.n_hosts > bound:
+                    if not bound:
+                        stats.meta_plan_probes_skipped += len(ordered) - pos
+                        break
+                    stats.meta_plan_probes_skipped += 1
+                    continue
+            cand = round_cands.get(spec.isa)
+            if cand is None:
+                cand = round_cands[spec.isa] = tuple(
+                    self.admission.usable_hosts(spec))
             if len(cand) < spec.n_hosts:
                 blocked = True
-                new_sig.append((spec.name, cand, _SIG_SKIP, 0.0))
                 continue
+            state = self.jobs[spec.name]
             est = self._estimate(spec, cand)
-            if reservations_made >= self.reserve_depth:
-                # Depth exhausted: the only observable decision left is
-                # "start immediately or stay blocked" — one probe.
-                free = book.free_now(spec.n_hosts, est, cand, now,
-                                     self.grace_seconds)
+            if backlog:
+                free = book.free_now(spec.n_hosts, est, cand, now, grace)
                 if free is not None:
-                    self._start_job(state, free, est, backfilled=blocked)
-                else:
-                    blocked = True
-                    new_sig.append((spec.name, cand, _SIG_PROBE, est))
+                    self._start_job(state, free, est, backfilled=True)
+                    bound = None
                 continue
             window = book.find_window(spec.n_hosts, est, now, cand, now,
-                                      self.grace_seconds)
+                                      grace)
             if window is None:
                 blocked = True
                 continue
             start, hosts = window
             if start <= now + _EPS:
                 self._start_job(state, hosts, est, backfilled=blocked)
-            else:
-                blocked = True
-                state.planned = book.reserve_block(
-                    spec.name, hosts, start, start + est)
-                reservations_made += 1
-                stats.meta_plan_rebuilt += 1
-                self._note_plan(state, start, hosts, est)
-                new_sig.append((spec.name, cand, _SIG_RESV, est))
-        self._plan_sig = new_sig
-        self._plan_version = book.version()
+                continue
+            blocked = True
+            state.planned = book.reserve_block(
+                spec.name, hosts, start, start + est)
+            holding.append(state)
+            stats.meta_plan_rebuilt += 1
+            self._note_plan(state, start, hosts, est)
 
     def _note_plan(self, state: JobState, start: float,
                    hosts: Sequence[str], est: float) -> None:
@@ -345,17 +277,13 @@ class MetaScheduler:
                           hosts=",".join(hosts))
 
     def _schedule_wake(self, now: float) -> None:
-        """Arm a wake at the earliest planned start, unless a pending
-        wake at or before it will already trigger a round (which would
-        re-arm for anything still planned then).  Fired wakes remove
-        themselves from the pending list, so a stale past instant can
-        never force a redundant re-arm."""
-        earliest = float("inf")
-        for spec in self.queue.specs():
-            planned = self.jobs[spec.name].planned
-            if planned and planned[0].start < earliest:
-                earliest = planned[0].start
-        if earliest == float("inf"):
+        """Arm a wake at the earliest planned start — the first of the
+        reservations this round made, from the book's start index —
+        unless a pending wake at or before it will already trigger a
+        round.  Fired wakes remove themselves from the pending list, so
+        a stale past instant can never force a redundant re-arm."""
+        earliest = self.book.next_reserved_start(now)
+        if earliest is None:
             return
         pending = self._pending_wakes
         if pending and pending[0] <= earliest + _EPS:
@@ -374,14 +302,15 @@ class MetaScheduler:
     def _estimate(self, spec: JobSpec,
                   candidates: Tuple[str, ...]) -> float:
         """Memoized :meth:`_estimate_seconds` — the estimate is a pure
-        function of the job and the candidate prefix that sizes it."""
-        key = (spec.name, candidates[:spec.n_hosts])
-        est = self._est_memo.get(key)
-        if est is None:
-            est = self._estimate_seconds(spec, candidates)
-            self._est_memo[key] = est
-        else:
+        function of the job and the candidate prefix that sizes it.
+        One entry per queued job; starting the job drops it."""
+        prefix = candidates[:spec.n_hosts]
+        memo = self._est_memo.get(spec.name)
+        if memo is not None and memo[0] == prefix:
             self.sim.stats.meta_plan_estimate_memo_hits += 1
+            return memo[1]
+        est = self._estimate_seconds(spec, candidates)
+        self._est_memo[spec.name] = (prefix, est)
         return est
 
     def _estimate_seconds(self, spec: JobSpec,
@@ -394,7 +323,8 @@ class MetaScheduler:
         total = workflow.total_mflop()
         critical = workflow.critical_path_mflop()
         parallel = max(total - critical, 0.0) / (speed * spec.n_hosts)
-        return self.safety_factor * (critical / speed + parallel) + 10.0
+        return (self.safety_factor * (critical / speed + parallel)
+                + _STARTUP_SECONDS)
 
     # -- execution ---------------------------------------------------------
     def _start_job(self, state: JobState, hosts: Sequence[str], est: float,
@@ -402,6 +332,7 @@ class MetaScheduler:
         spec = state.spec
         now = self.sim.now
         self.queue.remove(spec.name)
+        self._est_memo.pop(spec.name, None)
         if state.planned:  # safety net; planners release before starting
             self.book.release_block(state.planned, now)
             state.planned = []

@@ -2,7 +2,7 @@
 
 The pre-overhaul planner cancels every un-started reservation each
 round and rebuilds the plan with the linear-scan window search; the
-delta re-planner must match it byte for byte.
+profile-driven planner must match it byte for byte.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ NWS transfer-forecast memo hits); the metascheduler increments the
 ``meta_*`` family (submissions, rejections, starts, completions,
 backfills, reservations, cumulative queue-wait and served
 cpu-seconds) plus the ``meta_plan_*`` planning-engine family (rounds,
-reservations kept across rounds vs rebuilt from scratch, window
-feasibility probes, estimate memo hits, scheduled wakes) — the
-``meta_plan_*`` counters describe *how* a plan was computed, so they
-are the one family excluded from deterministic experiment reports
-(they differ between the fast and reference engines by design).
+reservations booked by rounds, candidate window starts probed,
+backlogged jobs skipped without a probe, estimate memo hits, scheduled
+wakes) — the ``meta_plan_*`` counters describe *how* a plan was
+computed, so they are the one family excluded from deterministic
+experiment reports (they differ between the fast and reference
+engines by design).
 Counters are plain integer attributes on a
 slotted object, so updating one costs a single attribute store — cheap
 enough to leave enabled in every run.
@@ -55,9 +56,9 @@ class KernelStats:
         "meta_queue_wait_seconds",
         "meta_cpu_seconds",
         "meta_plan_rounds",
-        "meta_plan_kept",
         "meta_plan_rebuilt",
         "meta_plan_window_probes",
+        "meta_plan_probes_skipped",
         "meta_plan_estimate_memo_hits",
         "meta_plan_wakes",
     )
@@ -84,9 +85,9 @@ class KernelStats:
         self.meta_queue_wait_seconds = 0.0
         self.meta_cpu_seconds = 0.0
         self.meta_plan_rounds = 0
-        self.meta_plan_kept = 0
         self.meta_plan_rebuilt = 0
         self.meta_plan_window_probes = 0
+        self.meta_plan_probes_skipped = 0
         self.meta_plan_estimate_memo_hits = 0
         self.meta_plan_wakes = 0
 
@@ -119,9 +120,9 @@ class KernelStats:
             "meta_queue_wait_seconds": self.meta_queue_wait_seconds,
             "meta_cpu_seconds": self.meta_cpu_seconds,
             "meta_plan_rounds": self.meta_plan_rounds,
-            "meta_plan_kept": self.meta_plan_kept,
             "meta_plan_rebuilt": self.meta_plan_rebuilt,
             "meta_plan_window_probes": self.meta_plan_window_probes,
+            "meta_plan_probes_skipped": self.meta_plan_probes_skipped,
             "meta_plan_estimate_memo_hits": self.meta_plan_estimate_memo_hits,
             "meta_plan_wakes": self.meta_plan_wakes,
         }
@@ -154,9 +155,9 @@ def format_stats(stats: "KernelStats", elapsed_wall: float = 0.0) -> str:
         f"queue-wait seconds   : {stats.meta_queue_wait_seconds:.1f}",
         f"cpu-seconds served   : {stats.meta_cpu_seconds:.1f}",
         f"planning rounds      : {stats.meta_plan_rounds}",
-        f"reservations kept    : {stats.meta_plan_kept}",
         f"reservations rebuilt : {stats.meta_plan_rebuilt}",
         f"window probes        : {stats.meta_plan_window_probes}",
+        f"probes skipped       : {stats.meta_plan_probes_skipped}",
         f"estimate memo hits   : {stats.meta_plan_estimate_memo_hits}",
         f"wakes scheduled      : {stats.meta_plan_wakes}",
     ]

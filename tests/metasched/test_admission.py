@@ -50,6 +50,21 @@ class TestUsableHosts:
         adm.gis.unregister("uiuc.n7")
         assert "uiuc.n7" not in adm.usable_hosts(spec())
 
+    def test_ranking_follows_registry_and_liveness_after_a_call(self):
+        # The ranking is kept between calls: every registry edit and
+        # every liveness change must still show on the next call.
+        _sim, grid, adm = build()
+        before = adm.usable_hosts(spec())
+        adm.gis.unregister("utk.n0")
+        assert adm.usable_hosts(spec()) == before[1:]
+        adm.gis.register_host(grid.clusters["utk"][0])
+        assert adm.usable_hosts(spec()) == before
+        grid.clusters["utk"][1].fail()
+        assert adm.usable_hosts(spec()) == [h for h in before
+                                            if h != "utk.n1"]
+        grid.clusters["utk"][1].recover()
+        assert adm.usable_hosts(spec()) == before
+
 
 class TestAdmit:
     def test_admits_reasonable_job(self):

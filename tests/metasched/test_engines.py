@@ -1,6 +1,6 @@
 """Fast-planner vs reference-oracle equivalence (DESIGN.md §9.6).
 
-The delta re-planning engine must be *observationally identical* to
+The profile-driven planner must be *observationally identical* to
 the cancel-all/rebuild-all reference in ``repro.oracles.planner``: same
 job outcomes, same claim histories, byte-identical same-seed reports.
 Only the ``meta_plan_*`` performance counters may differ — and those
@@ -111,20 +111,31 @@ class TestOutcomeEquivalence:
 
 
 class TestFastEngineMechanics:
-    def test_delta_replan_keeps_and_memoizes(self):
+    def test_profile_counters(self):
         fast = run_metasched(**CONTENDED)
         counters = fast.counters
         assert counters["meta_plan_rounds"] > 0
-        assert counters["meta_plan_kept"] > 0
         assert counters["meta_plan_rebuilt"] > 0
         assert counters["meta_plan_window_probes"] > 0
+        assert counters["meta_plan_probes_skipped"] > 0
         assert counters["meta_plan_estimate_memo_hits"] > 0
+        assert "meta_plan_kept" not in counters
 
-    def test_reference_engine_never_keeps(self):
+    def test_reference_engine_never_memoizes(self):
         ref = run_metasched(service_cls=ReferenceMetaScheduler, **CONTENDED)
-        assert ref.counters["meta_plan_kept"] == 0
         assert ref.counters["meta_plan_estimate_memo_hits"] == 0
+        assert ref.counters["meta_plan_probes_skipped"] == 0
         assert ref.counters["meta_plan_rebuilt"] > 0
+
+    def test_estimate_memo_drains_with_the_queue(self):
+        specs = generate_stream(4, 1 / 60.0, 1800.0, RngRegistry(8),
+                                max_jobs=20)
+        sim, service = serve(MetaScheduler, specs)
+        states = service.states()
+        assert all(s.status in ("completed", "failed", "rejected")
+                   for s in states)
+        assert sim.stats.meta_plan_estimate_memo_hits > 0
+        assert service._est_memo == {}
 
 
 class TestWakeScheduling:
@@ -201,8 +212,8 @@ class TestWakeScheduling:
 
 
 class TestWindowSearchEquivalence:
-    """Property test: the merged-sweep window search must agree with
-    the pre-overhaul nested-loop oracle on randomized calendars."""
+    """Property test: the profile window search must agree with the
+    nested-loop oracle on randomized calendars."""
 
     def _random_book(self, rng, n_hosts=6, n_resv=25):
         hosts = [f"h{i}" for i in range(n_hosts)]
